@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .sweeps import (
     SweepConfig,
     figure_dataset,
     format_float,
+    json_float,
     resolve_parallelism,
     run_sweep,
     sweep_to_csv,
@@ -84,10 +84,6 @@ def _build_params(args, file_cfg: dict | None = None) -> SystemParams:
         raise _UsageError(str(exc))
 
 
-def _params_from_args(args) -> SystemParams:
-    return _build_params(args)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chargeqfi",
                      description="Fisher information of two dephasing charge qubits")
@@ -144,7 +140,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    p = _params_from_args(args)
+    p = _build_params(args)
     if args.points < 2 or args.t_max <= 0:
         raise _UsageError("evolve needs --points >= 2 and --t-max > 0")
     header = ["t"]
@@ -165,7 +161,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    p = _params_from_args(args)
+    p = _build_params(args)
     if args.t < 0:
         raise _UsageError("--t must be >= 0")
     eta = EstimandTag(args.param)
@@ -181,7 +177,7 @@ def _cmd_qfi(args) -> int:
         "f_c": breakdown.f_c,
         "f_p": breakdown.f_p,
         "f_m": breakdown.f_m,
-        "crb": "inf" if math.isinf(breakdown.crb) else breakdown.crb,
+        "crb": json_float(breakdown.crb),
         "sld": sld,
         "n_clamped": breakdown.n_clamped,
         "gauge_residual": breakdown.gauge_residual,
@@ -261,7 +257,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    p = _params_from_args(args)
+    p = _build_params(args)
     if args.points < 2 or args.t_max <= 0:
         raise _UsageError("audit needs --points >= 2 and --t-max > 0")
     grid = [float(t) for t in np.linspace(0.0, args.t_max, args.points)]

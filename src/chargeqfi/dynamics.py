@@ -17,27 +17,36 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import ContractViolationError, IntegrationError
 from .model import (
-    ID2,
-    SIGMA_Z,
+    Z1,
+    Z2,
     DensityMatrix,
     SystemParams,
     as_matrix,
     bell_state_psi_plus,
     build_hamiltonian,
-    max_abs_diff,
+    hermiticity_and_trace_deviation,
     _readonly,
 )
 
-SZ1 = np.kron(SIGMA_Z, ID2)
-SZ2 = np.kron(ID2, SIGMA_Z)
-
 # propagator output beyond this trace/Hermiticity deviation signals a kernel bug
 PROPAGATOR_ATOL = 1e-8
+
+EYE4 = np.eye(4, dtype=complex)
+# (Zj, 2 Zj, Zj Zj) per qubit, the constant factors of the dephasing terms in lindblad_rhs
+_RHS_DEPHASING = tuple((sz, 2.0 * sz, sz @ sz) for sz in (Z1, Z2))
+# vectorized dephasing term of each qubit, 2 Zj^T (x) Zj - I (x) Zj^2 - (Zj^2)^T (x) I
+_LIOUVILLIAN_DEPHASING = tuple(2.0 * np.kron(sz.T, sz) - np.kron(EYE4, sz @ sz)
+                               - np.kron((sz @ sz).T, EYE4) for sz in (Z1, Z2))
+
+
+def check_time(t: float) -> None:
+    """Evolution runs forward only: ValueError for t < 0."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
 
 
 def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
@@ -45,17 +54,14 @@ def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
     r = as_matrix(rho)
     h = build_hamiltonian(p)
     out = -1j * (h @ r - r @ h)
-    for sz in (SZ1, SZ2):
-        out = out + (p.gamma / 8.0) * (2.0 * sz @ r @ sz - sz @ sz @ r - r @ sz @ sz)
+    for sz, two_sz, sz_sq in _RHS_DEPHASING:
+        out = out + (p.gamma / 8.0) * (two_sz @ r @ sz - sz_sq @ r - r @ sz @ sz)
     return out
 
 
 def _vec(mat: np.ndarray) -> np.ndarray:
     # column stacking
     return np.asarray(mat).reshape(16, order="F")
-
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v).reshape((4, 4), order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +75,42 @@ class Liouvillian:
 def build_liouvillian(p: SystemParams) -> Liouvillian:
     """Generator L with unvec(L vec(rho)) = lindblad_rhs(rho) for every rho."""
     h = build_hamiltonian(p)
-    eye4 = np.eye(4, dtype=complex)
-    mat = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
-    for sz in (SZ1, SZ2):
-        sz2 = sz @ sz
-        mat = mat + (p.gamma / 8.0) * (2.0 * np.kron(sz.T, sz)
-                                       - np.kron(eye4, sz2)
-                                       - np.kron(sz2.T, eye4))
+    mat = -1j * (np.kron(EYE4, h) - np.kron(h.T, EYE4))
+    for dephasing in _LIOUVILLIAN_DEPHASING:
+        mat = mat + (p.gamma / 8.0) * dephasing
     return Liouvillian(matrix=_readonly(mat), params=p)
 
 
+def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
+    """unvec(expm(G) vec(rho0)) for each G of an (n, 16, 16) stack, as (n, 4, 4).
+
+    One scipy expm call over the stack; each slice is bit-identical to a
+    single-matrix call.
+    """
+    vecs = expm(generators) @ _vec(as_matrix(rho0))
+    return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
+
+
+def propagation_faults(mats: np.ndarray) -> list:
+    """The propagator's own output check over an (n, 4, 4) stack.
+
+    Entry k is the ContractViolationError for a trace or Hermiticity
+    deviation above 1e-8 (a kernel bug, not a physics failure), or None.
+    The stricter DensityMatrix contract is checked separately.
+    """
+    herm, tr_dev = hermiticity_and_trace_deviation(mats)
+    faults = [None] * len(mats)
+    for k in np.flatnonzero((herm > PROPAGATOR_ATOL) | (tr_dev > PROPAGATOR_ATOL)):
+        faults[k] = ContractViolationError(
+            f"propagator output broke the state contract (hermiticity {herm[k]:.3e}, "
+            f"trace deviation {tr_dev[k]:.3e}); exponential kernel bug")
+    return faults
+
+
 def _check_propagated(mat: np.ndarray) -> DensityMatrix:
-    herm = max_abs_diff(mat, mat.conj().T)
-    tr_dev = abs(mat.trace() - 1.0)
-    if herm > PROPAGATOR_ATOL or tr_dev > PROPAGATOR_ATOL:
-        raise ContractViolationError(
-            f"propagator output broke the state contract (hermiticity {herm:.3e}, "
-            f"trace deviation {tr_dev:.3e}); exponential kernel bug")
+    fault = propagation_faults(mat[np.newaxis])[0]
+    if fault is not None:
+        raise fault
     return DensityMatrix(mat)
 
 
@@ -95,11 +120,9 @@ def propagate_expm(rho0, p: SystemParams, t: float) -> DensityMatrix:
     Exact up to the matrix-exponential kernel; this is the authoritative
     route used by the Fisher-information layer.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    liou = build_liouvillian(p)
-    out = _unvec(expm(liou.matrix * t) @ _vec(as_matrix(rho0)))
-    return _check_propagated(out)
+    check_time(t)
+    generator = build_liouvillian(p).matrix * t
+    return _check_propagated(expm_states(rho0, generator[np.newaxis])[0])
 
 
 def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> DensityMatrix:
@@ -111,11 +134,13 @@ def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> Dens
     """
     if not (1e-12 <= rel_tol <= 1e-4):
         raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     r0 = as_matrix(rho0)
     if t == 0.0:
         return DensityMatrix(r0)
+    # imported here: scipy.integrate dominates the package's import time and
+    # only this route needs it
+    from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
         return lindblad_rhs(y.reshape((4, 4)), p).reshape(16)
@@ -196,8 +221,7 @@ def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
 
 def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
     """Closed-form rho(t) evaluated verbatim; may violate positivity (audited)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_time(t)
     c = analytic_coefficients(p, t)
     ej, em, g = p.e_j1, p.e_m, p.gamma
     lam123 = c.lambda1 * c.lambda2 * c.lambda3

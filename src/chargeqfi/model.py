@@ -18,6 +18,12 @@ from .errors import ContractViolationError
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+# two-qubit Pauli products, built once
+Z1 = np.kron(SIGMA_Z, ID2)
+Z2 = np.kron(ID2, SIGMA_Z)
+X1 = np.kron(SIGMA_X, ID2)
+X2 = np.kron(ID2, SIGMA_X)
+ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 # numerical contract for density matrices
 HERMITICITY_ATOL = 1e-10
@@ -89,13 +95,46 @@ def kappa_coefficients(p: SystemParams) -> tuple[float, float]:
 def build_hamiltonian(p: SystemParams) -> np.ndarray:
     """4x4 Hamiltonian -1/2 {k1 Z1 + k2 Z2 + EJ1 X1 + EJ2 X2 - 2 Em Z1 Z2}."""
     k1, k2 = kappa_coefficients(p)
-    z1 = np.kron(SIGMA_Z, ID2)
-    z2 = np.kron(ID2, SIGMA_Z)
-    x1 = np.kron(SIGMA_X, ID2)
-    x2 = np.kron(ID2, SIGMA_X)
-    zz = np.kron(SIGMA_Z, SIGMA_Z)
-    h = -0.5 * (k1 * z1 + k2 * z2 + p.e_j1 * x1 + p.e_j2 * x2 - 2.0 * p.e_m * zz)
+    h = -0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ)
     return _readonly(h)
+
+
+def hermiticity_and_trace_deviation(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of an (n, 4, 4) stack: largest |M - M^H| entry and |tr M - 1|."""
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr_dev = np.abs(mats.diagonal(axis1=-2, axis2=-1).sum(axis=-1) - 1.0)
+    return herm, tr_dev
+
+
+def state_faults(mats: np.ndarray) -> list:
+    """The density-matrix contract over an (n, 4, 4) stack.
+
+    Entry k is the ContractViolationError that DensityMatrix(mats[k]) raises,
+    or None. Checks run in the order Hermiticity, trace, positivity; the
+    eigenvalues are only taken of matrices that pass the first two.
+    """
+    herm, tr_dev = hermiticity_and_trace_deviation(mats)
+    checked = ~(herm > HERMITICITY_ATOL) & ~(tr_dev > TRACE_ATOL)
+    if checked.all():
+        lowest = _lowest_eigenvalues(mats)
+    else:
+        lowest = np.full(len(mats), np.inf)
+        if checked.any():
+            lowest[checked] = _lowest_eigenvalues(mats[checked])
+    faults = [None] * len(mats)
+    for k in np.flatnonzero(~checked | (lowest < EIGENVALUE_FLOOR)):
+        if herm[k] > HERMITICITY_ATOL:
+            msg = f"Hermiticity deviation {herm[k]:.3e} exceeds {HERMITICITY_ATOL:.0e}"
+        elif tr_dev[k] > TRACE_ATOL:
+            msg = f"trace deviation {tr_dev[k]:.3e} exceeds {TRACE_ATOL:.0e}"
+        else:
+            msg = f"negative eigenvalue {lowest[k]:.3e} below floor {EIGENVALUE_FLOOR:.0e}"
+        faults[k] = ContractViolationError(msg)
+    return faults
+
+
+def _lowest_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (mats + mats.conj().swapaxes(-1, -2))).min(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +151,9 @@ class DensityMatrix:
         arr = _readonly(self.mat)
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
-        herm = max_abs_diff(arr, arr.conj().T)
-        if herm > HERMITICITY_ATOL:
-            raise ContractViolationError(f"Hermiticity deviation {herm:.3e} exceeds {HERMITICITY_ATOL:.0e}")
-        tr_dev = abs(arr.trace() - 1.0)
-        if tr_dev > TRACE_ATOL:
-            raise ContractViolationError(f"trace deviation {tr_dev:.3e} exceeds {TRACE_ATOL:.0e}")
-        lo = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T)).min())
-        if lo < EIGENVALUE_FLOOR:
-            raise ContractViolationError(f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR:.0e}")
+        fault = state_faults(arr[np.newaxis])[0]
+        if fault is not None:
+            raise fault
         object.__setattr__(self, "mat", arr)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateDerivativeError
 from .model import DensityMatrix, SystemParams, bell_state_psi_plus, _readonly
 from .dynamics import propagate_expm
-from .spectral import EIGENVALUE_CLAMP, SpectralDecomposition, spectral_decompose
+from .spectral import EIGENVALUE_CLAMP, SpectralDecomposition, decompose_many, spectral_decompose
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -52,9 +52,15 @@ class EstimandTag(enum.Enum):
         return dataclasses.replace(p, e_m=p.e_m + delta)
 
 
-def _check_step(p: SystemParams, eta: EstimandTag, h: float) -> None:
+def check_fd_step(h: float) -> None:
+    """ValueError unless the finite-difference step lies in [1e-7, 1e-3]."""
     if not (FD_STEP_MIN <= h <= FD_STEP_MAX):
         raise ValueError(f"fd step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {h}")
+
+
+def check_step(p: SystemParams, eta: EstimandTag, h: float) -> None:
+    """ValueError unless both shifted points p +/- h exist (gamma - h >= 0)."""
+    check_fd_step(h)
     if eta is EstimandTag.GAMMA and p.gamma - h < 0.0:
         raise ValueError(
             f"gamma - h = {p.gamma - h:.3e} < 0; shrink the step or move gamma away from 0")
@@ -64,12 +70,16 @@ def _state(p: SystemParams, t: float) -> DensityMatrix:
     return propagate_expm(bell_state_psi_plus(), p, t)
 
 
+def _central_difference(plus, minus, h: float):
+    return (plus - minus) / (2.0 * h)
+
+
 def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
     """Central-difference derivative of rho(t) with respect to the estimand."""
-    _check_step(p, eta, h)
+    check_step(p, eta, h)
     plus = _state(eta.shifted(p, +h), t).mat
     minus = _state(eta.shifted(p, -h), t).mat
-    return (plus - minus) / (2.0 * h)
+    return _central_difference(plus, minus, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,27 +98,53 @@ class SpectralDerivative:
     near_degenerate_pairs: tuple
 
 
-def _match_side(base_vecs: np.ndarray, side: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Permute and re-phase a shifted eigensystem onto the base branches."""
-    overlaps = base_vecs.conj().T @ side.eigenvectors  # overlaps[i, j] = <b_i|s_j>
+def _match_branches(base_vecs: np.ndarray, side_vals: np.ndarray,
+                    side_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Permute and re-phase shifted eigensystems onto the base branches.
+
+    Stacked over points: base_vecs and side_vecs are (n, 4, 4), side_vals is
+    (n, 4). Base branch i, in order, takes the free shifted branch of largest
+    overlap. Returns the matched (vals, vecs) and per point the
+    DegenerateDerivativeError for the first ambiguous branch (top two free
+    overlaps within MATCH_AMBIGUITY), or None.
+    """
+    overlaps = base_vecs.conj().swapaxes(-1, -2) @ side_vecs  # [k, i, j] = <b_i|s_j>
     mags = np.abs(overlaps)
-    taken = np.zeros(4, dtype=bool)
-    vals = np.empty(4)
-    vecs = np.empty((4, 4), dtype=complex)
+    points = np.arange(len(mags))
+    free = np.ones(side_vals.shape, dtype=bool)
+    pick = np.empty(side_vals.shape, dtype=np.intp)
+    faults = [None] * len(mags)
     for i in range(4):
-        avail = np.where(~taken)[0]
-        order = avail[np.argsort(mags[i, avail])[::-1]]
-        best = order[0]
-        if len(order) > 1 and mags[i, best] - mags[i, order[1]] < MATCH_AMBIGUITY:
-            raise DegenerateDerivativeError(
-                f"branch matching ambiguous for eigenvector {i}: overlaps "
-                f"{mags[i, best]:.6f} vs {mags[i, order[1]]:.6f} within {MATCH_AMBIGUITY:g}")
-        taken[best] = True
-        ov = overlaps[i, best]
-        phase = np.conj(ov) / abs(ov)
-        vals[i] = side.eigenvalues[best]
-        vecs[:, i] = side.eigenvectors[:, best] * phase
-    return vals, vecs
+        cand = np.where(free, mags[:, i, :], -np.inf)
+        best = np.argmax(cand, axis=1)
+        top = cand[points, best]
+        cand[points, best] = -np.inf
+        runner_up = cand.max(axis=1)  # -inf once a single branch is left
+        for k in np.flatnonzero(top - runner_up < MATCH_AMBIGUITY):
+            if faults[k] is None:
+                faults[k] = DegenerateDerivativeError(
+                    f"branch matching ambiguous for eigenvector {i}: overlaps "
+                    f"{top[k]:.6f} vs {runner_up[k]:.6f} within {MATCH_AMBIGUITY:g}")
+        free[points, best] = False
+        pick[:, i] = best
+    picked = np.take_along_axis(overlaps, pick[:, :, np.newaxis], axis=2)[:, :, 0]
+    phase = np.conj(picked) / np.abs(picked)
+    vals = np.take_along_axis(side_vals, pick, axis=1)
+    vecs = np.take_along_axis(side_vecs, pick[:, np.newaxis, :], axis=2) * phase[:, np.newaxis, :]
+    return vals, vecs, faults
+
+
+def _central_differences(base_vecs, plus, minus, h: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Matched eigenvalue and eigenvector derivatives over a stack of points.
+
+    plus and minus are (eigenvalues, eigenvectors) stacks of the shifted
+    states. The fault of a point is its plus-side fault, else its minus-side one.
+    """
+    vals_p, vecs_p, faults_p = _match_branches(base_vecs, *plus)
+    vals_m, vecs_m, faults_m = _match_branches(base_vecs, *minus)
+    faults = [fp if fp is not None else fm for fp, fm in zip(faults_p, faults_m)]
+    return (_central_difference(vals_p, vals_m, h), _central_difference(vecs_p, vecs_m, h),
+            faults)
 
 
 def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
@@ -120,18 +156,20 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
     maximal overlap; ambiguous matches (top two overlaps within 1e-3) raise
     DegenerateDerivativeError rather than silently mixing branches.
     """
-    _check_step(p, eta, h)
+    check_step(p, eta, h)
     if base is None:
         base = spectral_decompose(_state(p, t))
-    plus = spectral_decompose(_state(eta.shifted(p, +h), t))
-    minus = spectral_decompose(_state(eta.shifted(p, -h), t))
-    vals_p, vecs_p = _match_side(base.eigenvectors, plus)
-    vals_m, vecs_m = _match_side(base.eigenvectors, minus)
+    sides = [spectral_decompose(_state(eta.shifted(p, delta), t)) for delta in (+h, -h)]
+    d_vals, d_vecs, faults = _central_differences(
+        base.eigenvectors[np.newaxis],
+        *[(side.eigenvalues[np.newaxis], side.eigenvectors[np.newaxis]) for side in sides], h)
+    if faults[0] is not None:
+        raise faults[0]
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                     if abs(base.eigenvalues[i] - base.eigenvalues[j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
-        d_eigenvalues=_readonly((vals_p - vals_m) / (2.0 * h)).real,
-        d_eigenvectors=_readonly((vecs_p - vecs_m) / (2.0 * h)),
+        d_eigenvalues=_readonly(d_vals[0]).real,
+        d_eigenvectors=_readonly(d_vecs[0]),
         method="central-difference",
         step=h,
         near_degenerate_pairs=flagged,
@@ -175,6 +213,41 @@ def cramer_rao(f: float) -> float:
     return math.inf
 
 
+def _breakdown_sums(eps: np.ndarray, vecs: np.ndarray, d_vals: np.ndarray,
+                    d_vecs: np.ndarray) -> tuple:
+    """F_C, F_P, F_M and the gauge residual (worst |<V_i|dV_i>|), stacked over
+    points: eps are the clamped eigenvalues (n, 4); vecs and d_vecs are
+    (n, 4, 4) with one eigenvector per column."""
+    live = eps > 0.0
+    f_c = np.sum(np.divide(d_vals ** 2, eps, out=np.zeros_like(eps), where=live), axis=-1)
+    overlaps = vecs.conj().swapaxes(-1, -2) @ d_vecs  # [k, i, j] = <V_i|dV_j>
+    berry = np.abs(np.diagonal(overlaps, axis1=-2, axis2=-1))
+    norms = np.sum((d_vecs.conj() * d_vecs).real, axis=-2)
+    f_p = 4.0 * np.sum(np.where(live, eps * (norms - berry ** 2), 0.0), axis=-1)
+    pair_sum = eps[..., :, np.newaxis] + eps[..., np.newaxis, :]
+    pairs = (pair_sum > EIGENVALUE_CLAMP) & ~np.eye(4, dtype=bool)
+    weight = np.divide(eps[..., :, np.newaxis] * eps[..., np.newaxis, :], pair_sum,
+                       out=np.zeros_like(pair_sum), where=pairs)
+    f_m = 8.0 * np.sum(weight * np.abs(overlaps) ** 2, axis=(-2, -1))
+    return f_c, f_p, f_m, berry.max(axis=-1)
+
+
+def _sld_sums(eps: np.ndarray, vecs: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """The SLD sum of qfi_sld, stacked over points."""
+    mixed = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
+    pair_sum = eps[..., :, np.newaxis] + eps[..., np.newaxis, :]
+    return np.sum(np.divide(2.0 * np.abs(mixed) ** 2, pair_sum, out=np.zeros_like(pair_sum),
+                            where=pair_sum > EIGENVALUE_CLAMP), axis=(-2, -1))
+
+
+def _breakdown(f_c: float, f_p: float, f_m: float, h: float, n_clamped: int,
+               gauge_residual: float) -> QfiBreakdown:
+    f_total = f_c + f_p - f_m
+    return QfiBreakdown(f_total=f_total, f_c=f_c, f_p=f_p, f_m=f_m,
+                        crb=cramer_rao(f_total), fd_step=h,
+                        n_clamped=n_clamped, gauge_residual=gauge_residual)
+
+
 def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
                    h: float = FD_STEP_DEFAULT) -> QfiBreakdown:
     """Assemble F_C + F_P - F_M from matched eigensystem derivatives.
@@ -186,41 +259,9 @@ def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
     """
     base = spectral_decompose(_state(p, t))
     deriv = spectral_derivative(p, t, eta, h, base=base)
-    eps = base.clamped
-    vecs = base.eigenvectors
-    dvals = deriv.d_eigenvalues
-    dvecs = deriv.d_eigenvectors
-
-    f_c = 0.0
-    for i in range(4):
-        if eps[i] > 0.0:
-            f_c += dvals[i] ** 2 / eps[i]
-
-    # overlaps[i, j] = <V_i | dV_j>
-    overlaps = vecs.conj().T @ dvecs
-    gauge_residual = float(np.max(np.abs(np.diag(overlaps))))
-
-    f_p = 0.0
-    for i in range(4):
-        if eps[i] > 0.0:
-            dv = dvecs[:, i]
-            f_p += eps[i] * (float(np.real(np.vdot(dv, dv))) - abs(overlaps[i, i]) ** 2)
-    f_p *= 4.0
-
-    f_m = 0.0
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            s = eps[i] + eps[j]
-            if s > EIGENVALUE_CLAMP:
-                f_m += eps[i] * eps[j] / s * abs(overlaps[i, j]) ** 2
-    f_m *= 8.0
-
-    f_total = f_c + f_p - f_m
-    return QfiBreakdown(f_total=f_total, f_c=f_c, f_p=f_p, f_m=f_m,
-                        crb=cramer_rao(f_total), fd_step=h,
-                        n_clamped=base.n_clamped, gauge_residual=gauge_residual)
+    sums = _breakdown_sums(base.clamped[np.newaxis], base.eigenvectors[np.newaxis],
+                           deriv.d_eigenvalues[np.newaxis], deriv.d_eigenvectors[np.newaxis])
+    return _breakdown(*(float(x[0]) for x in sums[:3]), h, base.n_clamped, float(sums[3][0]))
 
 
 def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
@@ -232,13 +273,37 @@ def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
     """
     base = spectral_decompose(_state(p, t))
     drho = d_rho(p, t, eta, h)
-    eps = base.clamped
-    vecs = base.eigenvectors
-    mixed = vecs.conj().T @ drho @ vecs
-    total = 0.0
-    for i in range(4):
-        for j in range(4):
-            s = eps[i] + eps[j]
-            if s > EIGENVALUE_CLAMP:
-                total += 2.0 * abs(mixed[i, j]) ** 2 / s
-    return total
+    return float(_sld_sums(base.clamped[np.newaxis], base.eigenvectors[np.newaxis],
+                           drho[np.newaxis])[0])
+
+
+def qfi_from_states(base: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+                    h: float) -> list:
+    """Breakdown and SLD value of each point from its propagated states.
+
+    base, plus and minus are (n, 4, 4) stacks of rho(t) at eta and eta +/- h,
+    already through the state contract. The three are decomposed in one
+    batched eigh and every sum runs over the stack. Entry k is
+    (QfiBreakdown, sld), or None where qfi_components or qfi_sld would
+    raise at that point; callers re-evaluate those points one by one to get
+    the exact error.
+    """
+    n = len(base)
+    vals, vecs, clamped, n_clamped, faults = decompose_many(np.concatenate([base, plus, minus]))
+    sides = [(vals[s], vecs[s]) for s in (slice(n, 2 * n), slice(2 * n, None))]
+    d_vals, d_vecs, match_faults = _central_differences(vecs[:n], *sides, h)
+    f_c, f_p, f_m, gauge = _breakdown_sums(clamped[:n], vecs[:n], d_vals, d_vecs)
+    sld = _sld_sums(clamped[:n], vecs[:n], _central_difference(plus, minus, h))
+    out = []
+    for k in range(n):
+        if any(f is not None for f in (faults[k], faults[n + k], faults[2 * n + k], match_faults[k])):
+            out.append(None)
+            continue
+        try:
+            breakdown = _breakdown(float(f_c[k]), float(f_p[k]), float(f_m[k]), h,
+                                   int(n_clamped[k]), float(gauge[k]))
+        except ContractViolationError:
+            out.append(None)
+            continue
+        out.append((breakdown, float(sld[k])))
+    return out

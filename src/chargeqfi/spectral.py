@@ -40,36 +40,53 @@ class SpectralDecomposition:
 
 
 def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
-    out = np.array(vecs, dtype=complex)
-    for i in range(out.shape[1]):
-        v = out[:, i]
-        k = int(np.argmax(np.abs(v)))  # first index wins on bit-exact ties
-        pivot = v[k]
-        out[:, i] = v * (np.conj(pivot) / abs(pivot))
-        # keep the pivot exactly real
-        out[k, i] = abs(pivot)
+    """Scale each column of an (n, 4, 4) stack so its largest-magnitude entry
+    is real and non-negative; np.argmax makes the first index win bit-exact ties."""
+    points = np.arange(len(vecs))[:, np.newaxis]
+    cols = np.arange(vecs.shape[-1])
+    pivot_row = np.argmax(np.abs(vecs), axis=-2)
+    pivot = vecs[points, pivot_row, cols]
+    magnitude = np.abs(pivot)
+    out = vecs * (np.conj(pivot) / magnitude)[:, np.newaxis, :]
+    # keep the pivot exactly real
+    out[points, pivot_row, cols] = magnitude
     return out
+
+
+def decompose_many(rhos: np.ndarray) -> tuple:
+    """Array form of spectral_decompose over an (n, 4, 4) stack of states.
+
+    One batched eigh. Returns (eigenvalues, eigenvectors, clamped, n_clamped,
+    faults), the first four stacked along the leading axis; faults[k] is the
+    ContractViolationError spectral_decompose raises for rhos[k], or None.
+    The eigenvalue floor is checked before the eigen residual.
+    """
+    vals, vecs = np.linalg.eigh(rhos)
+    vals = vals[..., ::-1]
+    vecs = _fix_gauge(vecs[..., ::-1])
+    residual = np.abs(rhos @ vecs - vecs * vals[..., np.newaxis, :]).max(axis=(-2, -1))
+    lowest = vals.min(axis=-1)
+    faults = [None] * len(rhos)
+    for k in np.flatnonzero((lowest < EIGENVALUE_FLOOR) | (residual > RESIDUAL_ATOL)):
+        if lowest[k] < EIGENVALUE_FLOOR:
+            faults[k] = ContractViolationError(
+                f"eigenvalue {lowest[k]:.3e} below the state floor {EIGENVALUE_FLOOR:.0e}")
+        else:
+            faults[k] = ContractViolationError(
+                f"eigen residual {residual[k]:.3e} exceeds {RESIDUAL_ATOL:.0e}")
+    below = vals < EIGENVALUE_CLAMP
+    return vals, vecs, np.where(below, 0.0, vals), below.sum(axis=-1), faults
 
 
 def spectral_decompose(rho) -> SpectralDecomposition:
     """Descending, gauge-fixed eigensystem of a Hermitian state."""
-    arr = as_matrix(rho)
-    vals, vecs = np.linalg.eigh(arr)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1]
-    if float(vals.min()) < EIGENVALUE_FLOOR:
-        raise ContractViolationError(
-            f"eigenvalue {vals.min():.3e} below the state floor {EIGENVALUE_FLOOR:.0e}")
-    vecs = _fix_gauge(vecs)
-    residual = float(np.max(np.abs(arr @ vecs - vecs * vals[np.newaxis, :])))
-    if residual > RESIDUAL_ATOL:
-        raise ContractViolationError(f"eigen residual {residual:.3e} exceeds {RESIDUAL_ATOL:.0e}")
-    clamped = np.where(vals < EIGENVALUE_CLAMP, 0.0, vals)
-    n_clamped = int(np.count_nonzero(vals < EIGENVALUE_CLAMP))
-    return SpectralDecomposition(eigenvalues=_readonly(vals).real,
-                                 eigenvectors=_readonly(vecs),
-                                 clamped=_readonly(clamped).real,
-                                 n_clamped=n_clamped)
+    vals, vecs, clamped, n_clamped, faults = decompose_many(as_matrix(rho)[np.newaxis])
+    if faults[0] is not None:
+        raise faults[0]
+    return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,
+                                 eigenvectors=_readonly(vecs[0]),
+                                 clamped=_readonly(clamped[0]).real,
+                                 n_clamped=int(n_clamped[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Deterministic parameter sweeps and bundled figure presets.
 
-Every sweep row is evaluated independently (pure function of the
-configuration), results are merged by index, and floats are formatted to 17
-significant digits, so output bytes do not depend on the worker count.
+A sweep is evaluated as one batch: each distinct parameter set gets one
+Liouvillian, each of the base, +h and -h shift groups one stacked matrix
+exponential, and the state contract, eigendecomposition, branch matching
+and Fisher-information sums run over the point axis. A point that is out
+of domain or fails any check is evaluated again on its own through
+qfi_components and qfi_sld, so its error row reads exactly as theirs.
+Every row is a pure function of the configuration and floats are formatted
+to 17 significant digits, so output bytes do not depend on the
+(accepted, no longer used) parallelism setting.
 """
 
 from __future__ import annotations
@@ -11,14 +17,23 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import SystemParams
-from .qfi import FD_STEP_DEFAULT, FD_STEP_MAX, FD_STEP_MIN, EstimandTag, QfiBreakdown, qfi_components, qfi_sld
+from .model import SystemParams, bell_state_psi_plus, state_faults
+from .dynamics import build_liouvillian, check_time, expm_states, propagation_faults
+from .qfi import (
+    FD_STEP_DEFAULT,
+    EstimandTag,
+    QfiBreakdown,
+    check_fd_step,
+    check_step,
+    qfi_components,
+    qfi_from_states,
+    qfi_sld,
+)
 from . import __version__
 
 AXES = ("time", "gamma", "ej", "em")
@@ -39,6 +54,11 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.16e}"
+
+
+def json_float(x: float):
+    """x itself for JSON, or the format_float spelling where JSON has no number."""
+    return x if math.isfinite(x) else format_float(x)
 
 
 @dataclass(frozen=True)
@@ -67,14 +87,13 @@ class SweepConfig:
             raise ValueError(f"axis_start must be < axis_end, got [{self.axis_start}, {self.axis_end}]")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        if not (FD_STEP_MIN <= self.fd_step <= FD_STEP_MAX):
-            raise ValueError(f"fd_step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {self.fd_step}")
+        check_fd_step(self.fd_step)
         if self.output_format not in FORMATS:
             raise ValueError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.axis != "time" and self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if self.axis != "time":
+            check_time(self.t)
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,11 @@ class SweepResult:
 
 
 def resolve_parallelism(requested: int | None) -> int:
+    """Validated worker count: the argument, else QFI_DEPHASE_THREADS, else 1.
+
+    Sweeps run as one batch in the calling thread, so the count changes
+    nothing; it is still resolved so that a bad value is reported.
+    """
     if requested is not None:
         return requested
     env = os.environ.get(THREADS_ENV_VAR)
@@ -126,15 +150,66 @@ def _eval_point(cfg: SweepConfig, value: float) -> SweepRow:
     return SweepRow(axis_value=value, breakdown=breakdown, sld=sld, error=None)
 
 
+def _passes_state_contract(mats: np.ndarray) -> np.ndarray:
+    """Per state of a stack: finite and through the checks propagate_expm applies."""
+    # a non-finite state would stop the batched eigensolvers for every point
+    ok = np.isfinite(mats).all(axis=(-2, -1))
+    for faults in (propagation_faults, state_faults):
+        live = np.flatnonzero(ok)
+        ok[live] = [fault is None for fault in faults(mats[live])]
+    return ok
+
+
+def _eval_batch(cfg: SweepConfig, values: list) -> list:
+    """Rows for the points the batch can evaluate; None for the others.
+
+    A point stays out of the batch when its inputs are out of domain
+    (t < 0, gamma - h < 0, invalid parameters), when a propagated state is
+    not finite, or when it fails the state contract, the spectral checks,
+    branch matching or the breakdown floors.
+    """
+    eta, h = cfg.estimand, cfg.fd_step
+    points = []  # (row index, t, (params, params + h, params - h))
+    for k, value in enumerate(values):
+        try:
+            p, t = _point_inputs(cfg, value)
+            check_time(t)
+            check_step(p, eta, h)
+            points.append((k, t, (p, eta.shifted(p, +h), eta.shifted(p, -h))))
+        except ValueError:
+            continue
+    rows = [None] * len(values)
+    if not points:
+        return rows
+    times = np.array([t for _, t, _ in points])[:, np.newaxis, np.newaxis]
+    liouvillians = {}  # one generator per distinct parameter set
+    rho0 = bell_state_psi_plus()
+    states = []
+    ok = np.ones(len(points), dtype=bool)
+    for group in zip(*(shifts for _, _, shifts in points)):
+        for q in group:
+            if q not in liouvillians:
+                liouvillians[q] = build_liouvillian(q).matrix
+        mats = expm_states(rho0, np.stack([liouvillians[q] for q in group]) * times)
+        ok &= _passes_state_contract(mats)
+        states.append(mats)
+    live = np.flatnonzero(ok)
+    if len(live):
+        results = qfi_from_states(*(mats[live] for mats in states), h)
+        for k, result in zip(live, results):
+            if result is not None:
+                i = points[k][0]
+                rows[i] = SweepRow(axis_value=values[i], breakdown=result[0],
+                                   sld=result[1], error=None)
+    return rows
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the sweep; per-point failures become error rows, not crashes."""
     values = [float(v) for v in np.linspace(cfg.axis_start, cfg.axis_end, cfg.points)]
-    workers = resolve_parallelism(cfg.parallelism)
-    if workers == 1:
-        rows = [_eval_point(cfg, v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _eval_point(cfg, v), values))
+    resolve_parallelism(cfg.parallelism)
+    rows = [row if row is not None else _eval_point(cfg, v)
+            for row, v in zip(_eval_batch(cfg, values), values)]
     worst = 0.0
     for row in rows:
         if row.error is None:
@@ -162,14 +237,6 @@ def sweep_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_float(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
-
-
 def sweep_to_json(result: SweepResult) -> str:
     cfg = result.config
     payload = {
@@ -186,12 +253,12 @@ def sweep_to_json(result: SweepResult) -> str:
         "rows": [
             {
                 "axis": row.axis_value,
-                "f_total": _json_float(row.breakdown.f_total) if row.error is None else None,
-                "f_c": _json_float(row.breakdown.f_c) if row.error is None else None,
-                "f_p": _json_float(row.breakdown.f_p) if row.error is None else None,
-                "f_m": _json_float(row.breakdown.f_m) if row.error is None else None,
-                "crb": _json_float(row.breakdown.crb) if row.error is None else None,
-                "sld": _json_float(row.sld) if row.error is None else None,
+                "f_total": json_float(row.breakdown.f_total) if row.error is None else None,
+                "f_c": json_float(row.breakdown.f_c) if row.error is None else None,
+                "f_p": json_float(row.breakdown.f_p) if row.error is None else None,
+                "f_m": json_float(row.breakdown.f_m) if row.error is None else None,
+                "crb": json_float(row.breakdown.crb) if row.error is None else None,
+                "sld": json_float(row.sld) if row.error is None else None,
                 "error": row.error,
             }
             for row in result.rows

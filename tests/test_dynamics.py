@@ -1,10 +1,15 @@
 """Lindblad generator, propagators, and the closed-form audit."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chargeqfi
 from chargeqfi.dynamics import (
     Liouvillian,
     analytic_coefficients,
@@ -221,3 +226,15 @@ def test_audit_collects_domain_failures():
     rep = audit_analytic(SystemParams.degenerate(e_j=1.0, e_m=5.0, gamma=0.0), (1.0,))
     assert rep.verdict == "inconsistent"
     assert len(rep.failures) == 1
+
+
+def test_import_leaves_the_integrator_unloaded():
+    # scipy.integrate is most of the package's import time and only
+    # propagate_rk needs it
+    src = str(Path(chargeqfi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, chargeqfi; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,13 +1,16 @@
 """Sweep engine: determinism, error rows, serialization, figure presets."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from chargeqfi import qfi, sweeps
+from chargeqfi.errors import DegenerateDerivativeError
 from chargeqfi.model import SystemParams
-from chargeqfi.qfi import EstimandTag
+from chargeqfi.qfi import EstimandTag, qfi_components, qfi_sld
 from chargeqfi.sweeps import (
     CSV_HEADER,
     FIGURE_MIN_POINTS,
@@ -22,6 +25,9 @@ from chargeqfi.sweeps import (
 )
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
+# off degeneracy: distinct gate charges away from 1/2, distinct charging energies
+P_OFF = SystemParams(e_c1=0.9, e_c2=1.15, e_j1=0.12, e_j2=0.12, e_m=0.15,
+                     n_g1=0.46, n_g2=0.55, gamma=0.35)
 
 
 def small_time_sweep(**kw):
@@ -193,3 +199,64 @@ def test_figure_dataset_grid_and_validation():
         figure_dataset("fig2a", points=FIGURE_MIN_POINTS - 1)
     with pytest.raises(ValueError):
         figure_dataset("fig99")
+
+
+def _point(cfg, value):
+    if cfg.axis == "time":
+        return cfg.params, value
+    field = {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",)}[cfg.axis]
+    return dataclasses.replace(cfg.params, **{name: value for name in field}), cfg.t
+
+
+@pytest.mark.parametrize("axis,start,end", [("time", 0.5, 6.0), ("gamma", 0.2, 0.6),
+                                            ("ej", 0.05, 0.3), ("em", 0.05, 0.3)])
+def test_batch_rows_equal_single_point_evaluation(monkeypatch, axis, start, end):
+    def no_fallback(cfg, value):
+        raise AssertionError(f"point {value} left the batch")
+
+    for eta in EstimandTag:
+        cfg = SweepConfig(params=P_OFF, estimand=eta, axis=axis, axis_start=start,
+                          axis_end=end, points=5, t=1.7)
+        with monkeypatch.context() as m:
+            m.setattr(sweeps, "_eval_point", no_fallback)
+            res = run_sweep(cfg)
+        for row in res.rows:
+            p, t = _point(cfg, row.axis_value)
+            ref = qfi_components(p, t, eta)
+            sld = qfi_sld(p, t, eta)
+            assert row.error is None
+            b = row.breakdown
+            for name in ("f_total", "f_c", "f_p", "f_m", "crb"):
+                got, want = getattr(b, name), getattr(ref, name)
+                assert abs(got - want) <= 1e-12 * abs(want), (axis, eta, row.axis_value, name)
+            assert abs(row.sld - sld) <= 1e-12 * abs(sld)
+            assert (b.fd_step, b.n_clamped) == (ref.fd_step, ref.n_clamped)
+
+
+@pytest.mark.parametrize("start", [-1.0, -1e-10])
+def test_batch_negative_times_become_scalar_error_rows(start):
+    # backward evolution over a short enough time still passes the state
+    # contract, so only the domain check keeps -1e-10 out of the batch
+    cfg = small_time_sweep(params=P_OFF, axis_start=start, axis_end=-start, points=5)
+    res = run_sweep(cfg)
+    for row in res.rows:
+        if row.axis_value < 0:
+            with pytest.raises(ValueError) as exc:
+                qfi_components(P_OFF, row.axis_value, EstimandTag.GAMMA)
+            assert row.error == str(exc.value)
+            assert row.breakdown is None and row.sld is None
+        else:
+            assert row.error is None
+    assert res.provenance["errors"] == 2
+
+
+def test_batch_matching_failures_keep_scalar_messages(monkeypatch):
+    # every overlap gap is below an ambiguity threshold above 1
+    monkeypatch.setattr(qfi, "MATCH_AMBIGUITY", 2.0)
+    cfg = small_time_sweep(params=P_OFF, axis_start=0.5, axis_end=3.0, points=4)
+    res = run_sweep(cfg)
+    assert res.provenance["errors"] == len(res.rows)
+    for row in res.rows:
+        with pytest.raises(DegenerateDerivativeError) as exc:
+            qfi_components(P_OFF, row.axis_value, EstimandTag.GAMMA)
+        assert row.error == str(exc.value)
