@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .model import SystemParams, bell_state_psi_plus
 from .dynamics import audit_analytic, propagate_expm
-from .qfi import FD_STEP_DEFAULT, EstimandTag, qfi_components, qfi_sld
+from .qfi import FD_STEP_DEFAULT, EstimandTag, qfi_points
 from .sweeps import (
     FIGURE_MIN_POINTS,
     FIGURES,
@@ -165,8 +165,10 @@ def _cmd_qfi(args) -> int:
     if args.t < 0:
         raise _UsageError("--t must be >= 0")
     eta = EstimandTag(args.param)
-    breakdown = qfi_components(p, args.t, eta, args.fd_step)
-    sld = qfi_sld(p, args.t, eta, args.fd_step)
+    # the SLD value fails only where the breakdown fails, with the same error
+    breakdown, sld = qfi_points([(p, args.t)], eta, args.fd_step)[0]
+    if isinstance(breakdown, Exception):
+        raise breakdown
     payload = {
         "params": {"gamma": p.gamma, "ej": p.e_j1, "em": p.e_m, "ec1": p.e_c1,
                    "ec2": p.e_c2, "ng1": p.n_g1, "ng2": p.n_g2},
@@ -243,11 +245,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     if args.points < FIGURE_MIN_POINTS:
         raise _UsageError(f"--points must be >= {FIGURE_MIN_POINTS} for figure presets")
-    if args.parallelism is not None and args.parallelism < 1:
-        raise _UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
+    try:
+        parallelism = resolve_parallelism(args.parallelism)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parallelism = resolve_parallelism(args.parallelism)
     dataset = figure_dataset(args.figure_id, points=args.points,
                              parallelism=parallelism, fd_step=args.fd_step)
     for label, result in dataset:

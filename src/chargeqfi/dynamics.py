@@ -12,6 +12,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,11 +30,14 @@ from .model import (
     bell_state_psi_plus,
     build_hamiltonian,
     hermiticity_and_trace_deviation,
+    state_faults,
     _readonly,
 )
 
 # propagator output beyond this trace/Hermiticity deviation signals a kernel bug
 PROPAGATOR_ATOL = 1e-8
+# generators exponentiated per expm call in propagate_many
+EXPM_CHUNK = 128
 
 EYE4 = np.eye(4, dtype=complex)
 # (Zj, 2 Zj, Zj Zj) per qubit, the constant factors of the dephasing terms in lindblad_rhs
@@ -94,17 +98,46 @@ def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
 def propagation_faults(mats: np.ndarray) -> list:
     """The propagator's own output check over an (n, 4, 4) stack.
 
-    Entry k is the ContractViolationError for a trace or Hermiticity
-    deviation above 1e-8 (a kernel bug, not a physics failure), or None.
-    The stricter DensityMatrix contract is checked separately.
+    Entry k is the ContractViolationError for a non-finite state or for a
+    trace or Hermiticity deviation above 1e-8 (a kernel bug, not a physics
+    failure), or None. The stricter DensityMatrix contract is checked
+    separately, and only on states that pass this one.
     """
-    herm, tr_dev = hermiticity_and_trace_deviation(mats)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        herm, tr_dev = hermiticity_and_trace_deviation(mats)
     faults = [None] * len(mats)
-    for k in np.flatnonzero((herm > PROPAGATOR_ATOL) | (tr_dev > PROPAGATOR_ATOL)):
-        faults[k] = ContractViolationError(
-            f"propagator output broke the state contract (hermiticity {herm[k]:.3e}, "
-            f"trace deviation {tr_dev[k]:.3e}); exponential kernel bug")
+    for k in np.flatnonzero(~finite | (herm > PROPAGATOR_ATOL) | (tr_dev > PROPAGATOR_ATOL)):
+        if not finite[k]:
+            faults[k] = ContractViolationError("propagator output is not finite")
+        else:
+            faults[k] = ContractViolationError(
+                f"propagator output broke the state contract (hermiticity {herm[k]:.3e}, "
+                f"trace deviation {tr_dev[k]:.3e}); exponential kernel bug")
     return faults
+
+
+def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
+    """propagate_expm over paired sequences of SystemParams and times >= 0.
+
+    One Liouvillian per distinct parameter set and one stacked expm call
+    per EXPM_CHUNK states; each state is bit-identical to propagate_expm's,
+    whatever the chunking. Returns the (n, 4, 4) stack of states and, per
+    state, the ContractViolationError that propagate_expm raises for it, or
+    None. Times are not checked here.
+    """
+    times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
+    liouvillian = functools.cache(lambda p: build_liouvillian(p).matrix)
+    # in chunks, so that the generator stacks held at once do not grow with len(params)
+    mats = np.concatenate([
+        expm_states(rho0, np.stack([liouvillian(p) for p in params[s:s + EXPM_CHUNK]])
+                    * times[s:s + EXPM_CHUNK])
+        for s in range(0, len(params), EXPM_CHUNK)])
+    faults = propagation_faults(mats)
+    valid = [k for k, fault in enumerate(faults) if fault is None]
+    for k, fault in zip(valid, state_faults(mats[valid])):
+        faults[k] = fault
+    return mats, faults
 
 
 def _check_propagated(mat: np.ndarray) -> DensityMatrix:

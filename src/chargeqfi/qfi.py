@@ -1,11 +1,18 @@
 """Quantum Fisher information of the dephased two-qubit state.
 
-Two independent routes are kept side by side. qfi_components assembles
+Two independent routes are kept side by side. The breakdown assembles
 F = F_C + F_P - F_M from central-difference derivatives of the eigenvalues
-and eigenvectors (classical, pure and mixed contributions). qfi_sld
+and eigenvectors (classical, pure and mixed contributions). The SLD value
 evaluates the symmetric-logarithmic-derivative expression directly from
 d(rho)/d(eta) and never sees the eigenvector derivatives, so agreement
-between the two is a real cross-check, not bookkeeping.
+between the two is a real cross-check, not bookkeeping. The routes share
+the propagated states and the base eigensystem, never derivative arithmetic.
+
+qfi_points evaluates both routes over a batch of points; qfi_components and
+qfi_sld are one-point calls of it. A point reports its first failure in the
+order: domain (t, then the step) -> state contract of the base, +h and -h
+states -> base eigensystem -> shifted eigensystems -> branch matching ->
+breakdown floors. The SLD value fails only on the first three.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
 from .model import DensityMatrix, SystemParams, bell_state_psi_plus, _readonly
-from .dynamics import propagate_expm
+from .dynamics import check_time, propagate_expm, propagate_many
 from .spectral import EIGENVALUE_CLAMP, SpectralDecomposition, decompose_many, spectral_decompose
 
 FD_STEP_MIN = 1e-7
@@ -240,12 +247,68 @@ def _sld_sums(eps: np.ndarray, vecs: np.ndarray, drho: np.ndarray) -> np.ndarray
                             where=pair_sum > EIGENVALUE_CLAMP), axis=(-2, -1))
 
 
-def _breakdown(f_c: float, f_p: float, f_m: float, h: float, n_clamped: int,
-               gauge_residual: float) -> QfiBreakdown:
+def _first_fault(*faults):
+    return next((fault for fault in faults if fault is not None), None)
+
+
+def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
+    """Breakdown and SLD value at each (SystemParams, t) of points, as one batch.
+
+    Entry k is (breakdown, sld) for points[k]; each is the value or the
+    exception that qfi_components / qfi_sld raise there, the first failure
+    in the order the module docstring gives. The base, +h and -h states of
+    all points come from one propagate_many call and are decomposed in one
+    batched eigh; branch matching and both sums run over the stack.
+    """
+    out = [None] * len(points)
+    live = []  # (k, t, (p, p + h, p - h)) of the points in domain
+    for k, (p, t) in enumerate(points):
+        try:
+            check_time(t)
+            check_step(p, eta, h)
+            live.append((k, t, (p, eta.shifted(p, +h), eta.shifted(p, -h))))
+        except ValueError as exc:
+            out[k] = (exc, exc)
+    if not live:
+        return out
+    n = len(live)
+    ks, times, shifts = zip(*live)
+    states, faults = propagate_many(bell_state_psi_plus(),
+                                    [q for group in zip(*shifts) for q in group], times * 3)
+    # faults[j::n] are the base, +h and -h state faults of point j
+    state_fault = [_first_fault(*faults[j::n]) for j in range(n)]
+    # such a point fails before any eigen result of it is read; the stand-in
+    # states keep a non-finite one from stopping the batched eigh
+    states[np.array([fault is not None for fault in state_fault] * 3)] = np.eye(4) / 4
+    base, plus, minus = states.reshape(3, n, 4, 4)
+    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(states)
+    sides = [(vals[s], vecs[s]) for s in (slice(n, 2 * n), slice(2 * n, None))]
+    d_vals, d_vecs, match_faults = _central_differences(vecs[:n], *sides, h)
+    f_c, f_p, f_m, gauge = _breakdown_sums(clamped[:n], vecs[:n], d_vals, d_vecs)
     f_total = f_c + f_p - f_m
-    return QfiBreakdown(f_total=f_total, f_c=f_c, f_p=f_p, f_m=f_m,
-                        crb=cramer_rao(f_total), fd_step=h,
-                        n_clamped=n_clamped, gauge_residual=gauge_residual)
+    sld = _sld_sums(clamped[:n], vecs[:n], _central_difference(plus, minus, h))
+    for j, k in enumerate(ks):
+        fault = _first_fault(state_fault[j], eig_faults[j])
+        if fault is not None:
+            out[k] = (fault, fault)
+            continue
+        breakdown = _first_fault(eig_faults[n + j], eig_faults[2 * n + j], match_faults[j])
+        if breakdown is None:
+            try:
+                breakdown = QfiBreakdown(
+                    f_total=float(f_total[j]), f_c=float(f_c[j]), f_p=float(f_p[j]),
+                    f_m=float(f_m[j]), crb=cramer_rao(float(f_total[j])), fd_step=h,
+                    n_clamped=int(n_clamped[j]), gauge_residual=float(gauge[j]))
+            except ContractViolationError as exc:
+                breakdown = exc
+        out[k] = (breakdown, float(sld[j]))
+    return out
+
+
+def _value(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
@@ -255,13 +318,9 @@ def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
     F_C sums (d eps_i)^2 / eps_i over unclamped eigenvalues; F_P is
     4 sum_i eps_i (<dV_i|dV_i> - |<V_i|dV_i>|^2); F_M is
     8 sum_{i != j} eps_i eps_j / (eps_i + eps_j) |<V_i|dV_j>|^2 over pairs
-    with eps_i + eps_j above the clamp.
+    with eps_i + eps_j above the clamp. A one-point qfi_points call.
     """
-    base = spectral_decompose(_state(p, t))
-    deriv = spectral_derivative(p, t, eta, h, base=base)
-    sums = _breakdown_sums(base.clamped[np.newaxis], base.eigenvectors[np.newaxis],
-                           deriv.d_eigenvalues[np.newaxis], deriv.d_eigenvectors[np.newaxis])
-    return _breakdown(*(float(x[0]) for x in sums[:3]), h, base.n_clamped, float(sums[3][0]))
+    return _value(qfi_points([(p, t)], eta, h)[0][0])
 
 
 def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
@@ -270,40 +329,6 @@ def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
 
     F = sum_{i,j} 2 |<V_i| d_rho |V_j>|^2 / (eps_i + eps_j) over pairs with
     eps_i + eps_j above the clamp; gauge-free because only d(rho) enters.
+    A one-point qfi_points call.
     """
-    base = spectral_decompose(_state(p, t))
-    drho = d_rho(p, t, eta, h)
-    return float(_sld_sums(base.clamped[np.newaxis], base.eigenvectors[np.newaxis],
-                           drho[np.newaxis])[0])
-
-
-def qfi_from_states(base: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-                    h: float) -> list:
-    """Breakdown and SLD value of each point from its propagated states.
-
-    base, plus and minus are (n, 4, 4) stacks of rho(t) at eta and eta +/- h,
-    already through the state contract. The three are decomposed in one
-    batched eigh and every sum runs over the stack. Entry k is
-    (QfiBreakdown, sld), or None where qfi_components or qfi_sld would
-    raise at that point; callers re-evaluate those points one by one to get
-    the exact error.
-    """
-    n = len(base)
-    vals, vecs, clamped, n_clamped, faults = decompose_many(np.concatenate([base, plus, minus]))
-    sides = [(vals[s], vecs[s]) for s in (slice(n, 2 * n), slice(2 * n, None))]
-    d_vals, d_vecs, match_faults = _central_differences(vecs[:n], *sides, h)
-    f_c, f_p, f_m, gauge = _breakdown_sums(clamped[:n], vecs[:n], d_vals, d_vecs)
-    sld = _sld_sums(clamped[:n], vecs[:n], _central_difference(plus, minus, h))
-    out = []
-    for k in range(n):
-        if any(f is not None for f in (faults[k], faults[n + k], faults[2 * n + k], match_faults[k])):
-            out.append(None)
-            continue
-        try:
-            breakdown = _breakdown(float(f_c[k]), float(f_p[k]), float(f_m[k]), h,
-                                   int(n_clamped[k]), float(gauge[k]))
-        except ContractViolationError:
-            out.append(None)
-            continue
-        out.append((breakdown, float(sld[k])))
-    return out
+    return _value(qfi_points([(p, t)], eta, h)[0][1])

@@ -1,13 +1,13 @@
 """Deterministic parameter sweeps and bundled figure presets.
 
-A sweep is evaluated as one batch: each distinct parameter set gets one
-Liouvillian, each of the base, +h and -h shift groups one stacked matrix
-exponential, and the state contract, eigendecomposition, branch matching
-and Fisher-information sums run over the point axis. A point that is out
-of domain or fails any check is evaluated again on its own through
-qfi_components and qfi_sld, so its error row reads exactly as theirs.
-Every row is a pure function of the configuration and floats are formatted
-to 17 significant digits, so output bytes do not depend on the
+A sweep maps its axis to (SystemParams, t) points and evaluates them all in
+one qfi.qfi_points call, the evaluator behind qfi_components and qfi_sld
+too. A point whose parameters cannot be built, or whose evaluation fails,
+becomes an error row carrying the message of its first failure, in the
+order: domain (t, step) -> state contract of the base, +h and -h states ->
+base eigensystem -> shifted eigensystems -> branch matching -> breakdown
+floors. Every row is a pure function of the configuration and floats are
+formatted to 17 significant digits, so output bytes do not depend on the
 (accepted, no longer used) parallelism setting.
 """
 
@@ -21,19 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .model import SystemParams, bell_state_psi_plus, state_faults
-from .dynamics import build_liouvillian, check_time, expm_states, propagation_faults
-from .qfi import (
-    FD_STEP_DEFAULT,
-    EstimandTag,
-    QfiBreakdown,
-    check_fd_step,
-    check_step,
-    qfi_components,
-    qfi_from_states,
-    qfi_sld,
-)
+from .model import SystemParams
+from .dynamics import check_time
+from .qfi import FD_STEP_DEFAULT, EstimandTag, QfiBreakdown, check_fd_step, qfi_points
 from . import __version__
 
 AXES = ("time", "gamma", "ej", "em")
@@ -90,8 +80,7 @@ class SweepConfig:
         check_fd_step(self.fd_step)
         if self.output_format not in FORMATS:
             raise ValueError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        resolve_parallelism(self.parallelism)
         if self.axis != "time":
             check_time(self.t)
 
@@ -117,17 +106,20 @@ def resolve_parallelism(requested: int | None) -> int:
     """Validated worker count: the argument, else QFI_DEPHASE_THREADS, else 1.
 
     Sweeps run as one batch in the calling thread, so the count changes
-    nothing; it is still resolved so that a bad value is reported.
+    nothing; it is still resolved so that a bad value is reported. ValueError
+    unless the count is an integer >= 1.
     """
     if requested is not None:
-        return requested
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env}")
-        return n
-    return 1
+        name, value = "parallelism", requested
+    else:
+        name, value = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or 1
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _point_inputs(cfg: SweepConfig, value: float) -> tuple[SystemParams, float]:
@@ -140,81 +132,25 @@ def _point_inputs(cfg: SweepConfig, value: float) -> tuple[SystemParams, float]:
     return dataclasses.replace(cfg.params, e_m=value), cfg.t
 
 
-def _eval_point(cfg: SweepConfig, value: float) -> SweepRow:
-    try:
-        p, t = _point_inputs(cfg, value)
-        breakdown = qfi_components(p, t, cfg.estimand, cfg.fd_step)
-        sld = qfi_sld(p, t, cfg.estimand, cfg.fd_step)
-    except (ValueError, ContractViolationError) as exc:
-        return SweepRow(axis_value=value, breakdown=None, sld=None, error=str(exc))
-    return SweepRow(axis_value=value, breakdown=breakdown, sld=sld, error=None)
-
-
-def _passes_state_contract(mats: np.ndarray) -> np.ndarray:
-    """Per state of a stack: finite and through the checks propagate_expm applies."""
-    # a non-finite state would stop the batched eigensolvers for every point
-    ok = np.isfinite(mats).all(axis=(-2, -1))
-    for faults in (propagation_faults, state_faults):
-        live = np.flatnonzero(ok)
-        ok[live] = [fault is None for fault in faults(mats[live])]
-    return ok
-
-
-def _eval_batch(cfg: SweepConfig, values: list) -> list:
-    """Rows for the points the batch can evaluate; None for the others.
-
-    A point stays out of the batch when its inputs are out of domain
-    (t < 0, gamma - h < 0, invalid parameters), when a propagated state is
-    not finite, or when it fails the state contract, the spectral checks,
-    branch matching or the breakdown floors.
-    """
-    eta, h = cfg.estimand, cfg.fd_step
-    points = []  # (row index, t, (params, params + h, params - h))
-    for k, value in enumerate(values):
-        try:
-            p, t = _point_inputs(cfg, value)
-            check_time(t)
-            check_step(p, eta, h)
-            points.append((k, t, (p, eta.shifted(p, +h), eta.shifted(p, -h))))
-        except ValueError:
-            continue
-    rows = [None] * len(values)
-    if not points:
-        return rows
-    times = np.array([t for _, t, _ in points])[:, np.newaxis, np.newaxis]
-    liouvillians = {}  # one generator per distinct parameter set
-    rho0 = bell_state_psi_plus()
-    states = []
-    ok = np.ones(len(points), dtype=bool)
-    for group in zip(*(shifts for _, _, shifts in points)):
-        for q in group:
-            if q not in liouvillians:
-                liouvillians[q] = build_liouvillian(q).matrix
-        mats = expm_states(rho0, np.stack([liouvillians[q] for q in group]) * times)
-        ok &= _passes_state_contract(mats)
-        states.append(mats)
-    live = np.flatnonzero(ok)
-    if len(live):
-        results = qfi_from_states(*(mats[live] for mats in states), h)
-        for k, result in zip(live, results):
-            if result is not None:
-                i = points[k][0]
-                rows[i] = SweepRow(axis_value=values[i], breakdown=result[0],
-                                   sld=result[1], error=None)
-    return rows
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the sweep; per-point failures become error rows, not crashes."""
     values = [float(v) for v in np.linspace(cfg.axis_start, cfg.axis_end, cfg.points)]
-    resolve_parallelism(cfg.parallelism)
-    rows = [row if row is not None else _eval_point(cfg, v)
-            for row, v in zip(_eval_batch(cfg, values), values)]
-    worst = 0.0
-    for row in rows:
-        if row.error is None:
-            dev = abs(row.breakdown.f_total - row.sld) / max(row.sld, ORACLE_REL_FLOOR)
-            worst = max(worst, dev)
+    inputs = []
+    for value in values:
+        try:
+            inputs.append(_point_inputs(cfg, value))
+        except ValueError as exc:
+            inputs.append(exc)
+    results = iter(qfi_points([point for point in inputs if not isinstance(point, ValueError)],
+                              cfg.estimand, cfg.fd_step))
+    rows, worst = [], 0.0
+    for value, point in zip(values, inputs):
+        breakdown, sld = (point, point) if isinstance(point, ValueError) else next(results)
+        if isinstance(breakdown, Exception):
+            rows.append(SweepRow(axis_value=value, breakdown=None, sld=None, error=str(breakdown)))
+        else:
+            rows.append(SweepRow(axis_value=value, breakdown=breakdown, sld=sld, error=None))
+            worst = max(worst, abs(breakdown.f_total - sld) / max(sld, ORACLE_REL_FLOOR))
     provenance = {
         "engine": "chargeqfi",
         "version": __version__,

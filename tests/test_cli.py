@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
 
 REF_FLAGS = ["--gamma", "0.4", "--e", "0.1"]
@@ -26,6 +27,21 @@ def test_qfi_json_payload(capsys):
     assert abs(payload["crb"] * payload["f_total"] - 1.0) < 1e-10
     assert payload["params"]["ej"] == 0.1 and payload["params"]["em"] == 0.1
     assert payload["n_clamped"] == 0
+
+
+def test_qfi_exponentiates_each_state_once(monkeypatch, capsys):
+    # the base, +h and -h states serve both the breakdown and the SLD value
+    exponentials = []
+
+    def counting_expm(a):
+        exponentials.append(len(a) if a.ndim == 3 else 1)
+        return real_expm(a)
+
+    real_expm = dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    code, _, _ = run_cli(["qfi", "--param", "gamma", "--t", "2.0", *REF_FLAGS], capsys)
+    assert code == 0
+    assert sum(exponentials) == 3
 
 
 def test_qfi_crb_is_inf_string_at_t0(capsys):
@@ -128,6 +144,25 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["qfi", "--param", "gamma", "--t", "-2"], capsys)[0] == 1
     assert run_cli(["figure", "fig1a", "--points", "10"], capsys)[0] == 1
     assert run_cli(["evolve", "--points", "1"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("env,flags,name", [
+    ("0", [], "QFI_DEPHASE_THREADS"),
+    ("abc", [], "QFI_DEPHASE_THREADS"),
+    (None, ["--parallelism", "0"], "parallelism"),
+])
+def test_bad_parallelism_is_a_usage_error(tmp_path, monkeypatch, capsys, env, flags, name):
+    if env is None:
+        monkeypatch.delenv("QFI_DEPHASE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QFI_DEPHASE_THREADS", env)
+    code, _, err = run_cli(["sweep", "--param", "gamma", "--points", "3", "--axis-start", "0.1",
+                            "--axis-end", "1", *flags], capsys)
+    assert code == 1 and name in err
+    out_dir = tmp_path / "figures"
+    code, _, err = run_cli(["figure", "fig1a", "--out", str(out_dir), *flags], capsys)
+    assert code == 1 and name in err
+    assert not out_dir.exists()
 
 
 def test_numerical_failures_exit_2(capsys):
