@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .model import SystemParams, bell_state_psi_plus
-from .dynamics import audit_analytic, propagate_expm
+from .dynamics import audit_analytic, propagate_checked
 from .qfi import FD_STEP_DEFAULT, EstimandTag, qfi_points
 from .sweeps import (
     FIGURE_MIN_POINTS,
@@ -148,9 +148,8 @@ def _cmd_evolve(args) -> int:
         for j in range(1, 5):
             header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
     lines = [",".join(header)]
-    rho0 = bell_state_psi_plus()
-    for t in np.linspace(0.0, args.t_max, args.points):
-        mat = propagate_expm(rho0, p, float(t)).mat
+    times = np.linspace(0.0, args.t_max, args.points)
+    for t, mat in zip(times, propagate_checked(bell_state_psi_plus(), [p] * len(times), times)):
         fields = [format_float(float(t))]
         for i in range(4):
             for j in range(4):

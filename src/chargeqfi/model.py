@@ -63,9 +63,10 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name, value in dataclasses.asdict(self).items():
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
-from .model import DensityMatrix, SystemParams, bell_state_psi_plus, _readonly
-from .dynamics import check_time, propagate_expm, propagate_many
-from .spectral import EIGENVALUE_CLAMP, SpectralDecomposition, decompose_many, spectral_decompose
+from .model import SystemParams, bell_state_psi_plus, _readonly
+from .dynamics import check_time, propagate_checked, propagate_many
+from .spectral import EIGENVALUE_CLAMP, decompose_many
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -73,10 +73,6 @@ def check_step(p: SystemParams, eta: EstimandTag, h: float) -> None:
             f"gamma - h = {p.gamma - h:.3e} < 0; shrink the step or move gamma away from 0")
 
 
-def _state(p: SystemParams, t: float) -> DensityMatrix:
-    return propagate_expm(bell_state_psi_plus(), p, t)
-
-
 def _central_difference(plus, minus, h: float):
     return (plus - minus) / (2.0 * h)
 
@@ -84,8 +80,8 @@ def _central_difference(plus, minus, h: float):
 def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
     """Central-difference derivative of rho(t) with respect to the estimand."""
     check_step(p, eta, h)
-    plus = _state(eta.shifted(p, +h), t).mat
-    minus = _state(eta.shifted(p, -h), t).mat
+    plus, minus = propagate_checked(bell_state_psi_plus(),
+                                    [eta.shifted(p, +h), eta.shifted(p, -h)], [t, t])
     return _central_difference(plus, minus, h)
 
 
@@ -155,25 +151,26 @@ def _central_differences(base_vecs, plus, minus, h: float) -> tuple[np.ndarray, 
 
 
 def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
-                        h: float = FD_STEP_DEFAULT,
-                        base: SpectralDecomposition | None = None) -> SpectralDerivative:
+                        h: float = FD_STEP_DEFAULT) -> SpectralDerivative:
     """Differentiate eigenvalues and eigenvectors by central differences.
 
     The shifted decompositions are matched branch-by-branch to the base via
     maximal overlap; ambiguous matches (top two overlaps within 1e-3) raise
-    DegenerateDerivativeError rather than silently mixing branches.
+    DegenerateDerivativeError rather than silently mixing branches. One
+    propagate_checked call and one decompose_many call serve the base, +h
+    and -h states, so all three pass their contract before any eigensystem.
     """
     check_step(p, eta, h)
-    if base is None:
-        base = spectral_decompose(_state(p, t))
-    sides = [spectral_decompose(_state(eta.shifted(p, delta), t)) for delta in (+h, -h)]
-    d_vals, d_vecs, faults = _central_differences(
-        base.eigenvectors[np.newaxis],
-        *[(side.eigenvalues[np.newaxis], side.eigenvectors[np.newaxis]) for side in sides], h)
-    if faults[0] is not None:
-        raise faults[0]
+    states = propagate_checked(bell_state_psi_plus(),
+                               [p, eta.shifted(p, +h), eta.shifted(p, -h)], [t] * 3)
+    vals, vecs, _, _, eig_faults = decompose_many(states)
+    d_vals, d_vecs, match_faults = _central_differences(
+        vecs[:1], (vals[1:2], vecs[1:2]), (vals[2:], vecs[2:]), h)
+    fault = _first_fault(*eig_faults, *match_faults)
+    if fault is not None:
+        raise fault
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
-                    if abs(base.eigenvalues[i] - base.eigenvalues[j]) < NEAR_DEGENERATE_GAP)
+                    if abs(vals[0, i] - vals[0, j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
         d_eigenvalues=_readonly(d_vals[0]).real,
         d_eigenvectors=_readonly(d_vecs[0]),

@@ -7,6 +7,8 @@ import pytest
 
 from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
+from chargeqfi.model import SystemParams
+from chargeqfi.qfi import EstimandTag, d_rho, spectral_derivative
 
 REF_FLAGS = ["--gamma", "0.4", "--e", "0.1"]
 
@@ -29,19 +31,35 @@ def test_qfi_json_payload(capsys):
     assert payload["n_clamped"] == 0
 
 
-def test_qfi_exponentiates_each_state_once(monkeypatch, capsys):
-    # the base, +h and -h states serve both the breakdown and the SLD value
-    exponentials = []
+P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
+
+
+@pytest.mark.parametrize("call,batches", [
+    # one propagate_many call over the grid, in chunks of at most 128 generators
+    pytest.param(["evolve", "--points", "201", *REF_FLAGS], [128, 73], id="evolve"),
+    pytest.param(["audit", "--points", "21", *REF_FLAGS], [21], id="audit"),
+    # the base, +h and -h states in one stack
+    pytest.param(lambda: spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA), [3],
+                 id="spectral_derivative"),
+    pytest.param(lambda: d_rho(P_REF, 2.0, EstimandTag.GAMMA), [2], id="d_rho"),
+    # the same three states serve both the breakdown and the SLD value
+    pytest.param(["qfi", "--param", "gamma", "--t", "2.0", *REF_FLAGS], [3], id="qfi"),
+])
+def test_expm_batches(monkeypatch, capsys, call, batches):
+    """Generators per expm call; call is a CLI argv or a library call."""
+    sizes = []
 
     def counting_expm(a):
-        exponentials.append(len(a) if a.ndim == 3 else 1)
+        sizes.append(len(a) if a.ndim == 3 else 1)
         return real_expm(a)
 
     real_expm = dynamics.expm
     monkeypatch.setattr(dynamics, "expm", counting_expm)
-    code, _, _ = run_cli(["qfi", "--param", "gamma", "--t", "2.0", *REF_FLAGS], capsys)
-    assert code == 0
-    assert sum(exponentials) == 3
+    if callable(call):
+        call()
+    else:
+        assert run_cli(call, capsys)[0] == 0
+    assert sizes == batches
 
 
 def test_qfi_crb_is_inf_string_at_t0(capsys):

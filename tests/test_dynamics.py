@@ -16,9 +16,11 @@ from chargeqfi.dynamics import (
     analytic_state,
     analytic_state_matrix,
     audit_analytic,
+    EXPM_CHUNK,
     build_liouvillian,
     lindblad_rhs,
     propagate_expm,
+    propagate_many,
     propagate_rk,
 )
 from chargeqfi.errors import ContractViolationError
@@ -161,6 +163,33 @@ def test_propagate_argument_validation():
         propagate_rk(BELL, P_REF, 1.0, rel_tol=1e-3)
 
 
+def test_propagate_many_equals_propagate_expm_across_chunks():
+    # more states than one expm chunk holds, with mixed parameter sets; one
+    # time overflows the exponential and must fail alone
+    p_off = SystemParams(e_j1=0.2, e_j2=0.3, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    params = [(P_REF, p_off)[k % 2] for k in range(EXPM_CHUNK + 37)]
+    times = [0.05 * k for k in range(len(params))]
+    bad = EXPM_CHUNK + 3
+    times[bad] = 1e300
+    mats, faults = propagate_many(BELL, params, times)
+    assert mats.shape == (len(params), 4, 4)
+    for k, (p, t) in enumerate(zip(params, times)):
+        if k == bad:
+            with pytest.raises(ContractViolationError) as single:
+                propagate_expm(BELL, p, t)
+            assert isinstance(faults[k], ContractViolationError)
+            assert str(faults[k]) == str(single.value) == "propagator output is not finite"
+        else:
+            assert faults[k] is None
+            assert np.array_equal(mats[k], propagate_expm(BELL, p, t).mat)
+
+
+def test_propagate_many_empty_batch():
+    mats, faults = propagate_many(BELL, [], [])
+    assert mats.shape == (0, 4, 4)
+    assert faults == []
+
+
 def test_analytic_state_matrix_structure():
     m = analytic_state_matrix(P_REF, 2.0)
     assert abs(m.trace() - 1.0) < 1e-14
@@ -220,6 +249,21 @@ def test_audit_verdict_with_loose_tolerance():
     rep = audit_analytic(P_REF, (0.5, 1.0), tol=1.0)
     assert rep.verdict == "consistent"
     assert rep.deviating_entries == ()
+
+
+def test_audit_grid_may_be_a_generator():
+    # the grid is read once, so a one-shot iterable reports the same grid
+    from_tuple = audit_analytic(P_REF, (0.5, 1.0, 2.0)).to_dict()
+    from_generator = audit_analytic(P_REF, (t for t in (0.5, 1.0, 2.0))).to_dict()
+    assert from_generator == from_tuple
+    assert from_generator["grid"] == [0.5, 1.0, 2.0]
+
+
+def test_audit_of_an_empty_grid_is_consistent():
+    rep = audit_analytic(P_REF, [])
+    assert rep.verdict == "consistent"
+    assert rep.grid == () and rep.max_abs_deviation == 0.0
+    assert rep.deviating_entries == () and rep.failures == ()
 
 
 def test_audit_collects_domain_failures():

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
+from chargeqfi.dynamics import propagate_expm
 from chargeqfi.errors import ContractViolationError, DegenerateDerivativeError
-from chargeqfi.model import SystemParams, max_abs_diff
+from chargeqfi.model import SystemParams, bell_state_psi_plus, max_abs_diff
 from chargeqfi.qfi import (
     FD_STEP_DEFAULT,
     EstimandTag,
     QfiBreakdown,
+    _central_differences,
     cramer_rao,
     d_rho,
     qfi_components,
     qfi_sld,
     spectral_derivative,
 )
-from chargeqfi.spectral import SpectralDecomposition
+from chargeqfi.spectral import spectral_decompose
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
 ALL_TAGS = (EstimandTag.GAMMA, EstimandTag.EJ, EstimandTag.EM)
@@ -84,10 +86,6 @@ def test_spectral_derivative_basics():
 def test_spectral_derivative_constant_branches():
     # the branches pinned to the constant eigenvectors must not move
     sd = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA)
-    from chargeqfi.dynamics import propagate_expm
-    from chargeqfi.model import bell_state_psi_plus
-    from chargeqfi.spectral import spectral_decompose
-
     vecs = spectral_decompose(propagate_expm(bell_state_psi_plus(), P_REF, 2.0)).eigenvectors
     v1 = np.array([-1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     v2 = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
@@ -102,40 +100,43 @@ def test_spectral_derivative_flags_near_degenerate_base():
     assert len(sd.near_degenerate_pairs) > 0
 
 
-def test_matching_ambiguity_raises():
-    from chargeqfi.dynamics import propagate_expm
-    from chargeqfi.model import bell_state_psi_plus
-    from chargeqfi.spectral import spectral_decompose
+def _eigensystems_at_t2(h=FD_STEP_DEFAULT):
+    """Base eigensystem and the (eigenvalues, eigenvectors) stacks of the
+    +h and -h states at P_REF, t = 2, gamma estimand."""
+    base, plus, minus = (
+        spectral_decompose(propagate_expm(bell_state_psi_plus(), q, 2.0))
+        for q in (P_REF, EstimandTag.GAMMA.shifted(P_REF, +h), EstimandTag.GAMMA.shifted(P_REF, -h)))
+    return base, [(s.eigenvalues[np.newaxis], s.eigenvectors[np.newaxis]) for s in (plus, minus)]
 
-    base = spectral_decompose(propagate_expm(bell_state_psi_plus(), P_REF, 2.0))
-    v = base.eigenvectors.copy()
+
+def test_matching_ambiguity_raises():
+    base, sides = _eigensystems_at_t2()
+    v = base.eigenvectors
     c = 1.0 / np.sqrt(2.0)
-    rot = np.column_stack([v[:, 0], v[:, 1],
-                           c * (v[:, 2] + v[:, 3]), c * (v[:, 2] - v[:, 3])])
-    scrambled = SpectralDecomposition(eigenvalues=base.eigenvalues,
-                                      eigenvectors=rot,
-                                      clamped=base.clamped,
-                                      n_clamped=base.n_clamped)
-    with pytest.raises(DegenerateDerivativeError):
-        spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA, base=scrambled)
+    scrambled = np.column_stack([v[:, 0], v[:, 1],
+                                 c * (v[:, 2] + v[:, 3]), c * (v[:, 2] - v[:, 3])])
+    *_, faults = _central_differences(v[np.newaxis], *sides, FD_STEP_DEFAULT)
+    assert faults == [None]
+    *_, faults = _central_differences(scrambled[np.newaxis], *sides, FD_STEP_DEFAULT)
+    assert isinstance(faults[0], DegenerateDerivativeError)
+    assert "branch matching ambiguous" in str(faults[0])
 
 
 def test_derivative_gauge_insensitive():
-    from chargeqfi.dynamics import propagate_expm
-    from chargeqfi.model import bell_state_psi_plus
-    from chargeqfi.spectral import spectral_decompose
-
-    base = spectral_decompose(propagate_expm(bell_state_psi_plus(), P_REF, 2.0))
+    base, sides = _eigensystems_at_t2()
     phases = np.exp(1j * np.array([0.3, -1.2, 2.5, 0.9]))
-    rot = SpectralDecomposition(eigenvalues=base.eigenvalues,
-                                eigenvectors=base.eigenvectors * phases,
-                                clamped=base.clamped,
-                                n_clamped=base.n_clamped)
-    a = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA)
-    b = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA, base=rot)
-    assert np.max(np.abs(a.d_eigenvalues - b.d_eigenvalues)) < 1e-10
+    a_vals, a_vecs, a_faults = _central_differences(
+        base.eigenvectors[np.newaxis], *sides, FD_STEP_DEFAULT)
+    b_vals, b_vecs, b_faults = _central_differences(
+        (base.eigenvectors * phases)[np.newaxis], *sides, FD_STEP_DEFAULT)
+    assert a_faults == b_faults == [None]
+    # the unrotated base reproduces the public derivative bit for bit
+    sd = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA)
+    assert np.array_equal(a_vals[0], sd.d_eigenvalues)
+    assert np.array_equal(a_vecs[0], sd.d_eigenvectors)
+    assert np.max(np.abs(a_vals - b_vals)) < 1e-10
     # eigenvector derivatives transform with the same phases
-    assert max_abs_diff(a.d_eigenvectors * phases, b.d_eigenvectors) < 1e-10
+    assert max_abs_diff(a_vecs[0] * phases, b_vecs[0]) < 1e-10
 
 
 def test_breakdown_reference_point():
