@@ -1,0 +1,152 @@
+"""One SHA-256 over the user-visible outputs of a checkout.
+
+Run from the repository root:
+
+    python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...]
+
+DIR (default: the checkout holding this script) is a checkout of the
+repository; its src/ is imported and its scripts/write_audit_artifact.py
+rebuilds the audit artifact. Two checkouts print the same digest exactly
+when every output below is byte-identical, so a change meant to keep the
+numbers can be compared with its parent. Each --drop TEXT is removed from
+every output before hashing, to compare across a deliberate rewording of
+one message.
+
+The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
+degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
+- evolve CSV (default grid, and --points 300 off degeneracy), and the
+  exit code and stderr of --t-max 1e300 at both points;
+- audit JSON: default, strong coupling (ej 1, em 5, gamma 0, closed-form
+  failures), e 0.2 gamma 0.5 at 50 points, off degeneracy;
+- qfi JSON for 3 estimands x t in {0, 1e-6, 1, 2, 7.5, 1e300} at both points;
+- all 12 figure presets at 201 points;
+- gamma (from 0, with its error row), ej, em and time sweeps (the last
+  also to 1e300) off degeneracy, CSV and JSON, for each estimand;
+- the rebuilt docs/closed_form_audit.json;
+- d_rho and spectral_derivative (array bytes, dtypes, near_degenerate_pairs,
+  or the exception class and text) for 3 estimands x t in {0, 1e-6, 1, 2,
+  7.5, -1, 1e300} x h in {1e-4, 1e-8, 1e-2} at both points.
+
+Every CLI call records its argv, exit code, stdout and stderr. Files go to a
+temporary directory that is removed afterwards; no tracked file is written.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import runpy
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+DEFAULT_FLAGS = []
+OFF_FLAGS = ["--ng1", "0.45", "--ng2", "0.55", "--ej", "0.2", "--em", "0.15", "--gamma", "0.3"]
+ESTIMANDS = ("gamma", "ej", "em")
+QFI_TIMES = ("0", "1e-6", "1", "2", "7.5", "1e300")
+DERIVATIVE_TIMES = (0.0, 1e-6, 1.0, 2.0, 7.5, -1.0, 1e300)
+DERIVATIVE_STEPS = (1e-4, 1e-8, 1e-2)
+SWEEP_AXES = (("gamma", "0", "0.6"), ("ej", "0.05", "0.3"), ("em", "0.05", "0.3"),
+              ("time", "0", "10"), ("time", "1", "1e300"))
+
+
+def import_checkout(checkout: Path):
+    sys.path.insert(0, str(checkout / "src"))
+    import chargeqfi
+    from chargeqfi import cli, model, qfi, sweeps
+
+    if Path(chargeqfi.__file__).resolve().parents[2] != checkout:
+        sys.exit(f"chargeqfi was imported from {chargeqfi.__file__}, not from {checkout}")
+    return cli, model, qfi, sweeps
+
+
+def run_cli(cli, argv) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    # a fresh warning registry per call, as in a fresh process
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        code = cli.cli_main(argv)
+    return f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+
+
+def derivative_bytes(model, qfi, flags) -> list:
+    p = model.SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4) if not flags else \
+        model.SystemParams(e_j1=0.2, e_j2=0.2, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    outputs = []
+    for eta in qfi.EstimandTag:
+        for t in DERIVATIVE_TIMES:
+            for h in DERIVATIVE_STEPS:
+                head = f"{p} {eta.value} t={t!r} h={h!r}\n".encode()
+                for fn in (qfi.d_rho, qfi.spectral_derivative):
+                    try:
+                        value = fn(p, t, eta, h)
+                    except Exception as exc:  # the class and text are the output
+                        body = f"{fn.__name__} {type(exc).__name__}: {exc}".encode()
+                    else:
+                        arrays = ([value] if fn is qfi.d_rho else
+                                  [value.d_eigenvalues, value.d_eigenvectors])
+                        body = b"".join(f"{a.dtype} {a.shape}".encode() + a.tobytes()
+                                        for a in arrays)
+                        if fn is qfi.spectral_derivative:
+                            body += (f"{value.method} {value.step!r} "
+                                     f"{value.near_degenerate_pairs}").encode()
+                    outputs.append(head + body)
+    return outputs
+
+
+def collect(checkout: Path, tmp: Path) -> list:
+    cli, model, qfi, sweeps = import_checkout(checkout)
+    outputs = []
+    for flags in (DEFAULT_FLAGS, OFF_FLAGS):
+        points = ["--points", "300"] if flags else []
+        outputs.append(run_cli(cli, ["evolve", *flags, *points]))
+        outputs.append(run_cli(cli, ["evolve", *flags, "--t-max", "1e300"]))
+        for eta in ESTIMANDS:
+            for t in QFI_TIMES:
+                outputs.append(run_cli(cli, ["qfi", *flags, "--param", eta, "--t", t]))
+        outputs.extend(derivative_bytes(model, qfi, flags))
+    for flags in ([], ["--ej", "1", "--em", "5", "--gamma", "0"],
+                  ["--e", "0.2", "--gamma", "0.5", "--points", "50"], OFF_FLAGS):
+        outputs.append(run_cli(cli, ["audit", *flags]))
+    for eta in ESTIMANDS:
+        for axis, start, end in SWEEP_AXES:
+            for fmt in ("csv", "json"):
+                outputs.append(run_cli(cli, ["sweep", *OFF_FLAGS, "--param", eta, "--axis", axis,
+                                             "--axis-start", start, "--axis-end", end,
+                                             "--points", "21", "--format", fmt]))
+    for figure_id in sorted(sweeps.FIGURES):
+        out_dir = tmp / figure_id
+        outputs.append(run_cli(cli, ["figure", figure_id, "--points", "201",
+                                     "--out", str(out_dir)]))
+        for path in sorted(out_dir.iterdir()):
+            outputs.append(path.name.encode() + b"\n" + path.read_bytes())
+    artifact = tmp / "closed_form_audit.json"
+    runpy.run_path(str(checkout / "scripts" / "write_audit_artifact.py"))["main"]([str(artifact)])
+    outputs.append(artifact.read_bytes())
+    return outputs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--drop", action="append", default=[],
+                        help="text removed from every output before hashing (repeatable)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = collect(args.checkout.resolve(), Path(tmp))
+    digest = hashlib.sha256()
+    for output in outputs:
+        # the temporary directory's name differs from run to run
+        output = output.replace(tmp.encode(), b"TMP")
+        for text in args.drop:
+            output = output.replace(text.encode(), b"")
+        # length-prefixed, so that moving bytes between outputs changes the digest
+        digest.update(len(output).to_bytes(8, "little") + output)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,16 +16,14 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .model import SystemParams, bell_state_psi_plus
-from .dynamics import audit_analytic, propagate_checked
-from .qfi import FD_STEP_DEFAULT, EstimandTag, qfi_points
+from .dynamics import audit_analytic, check_time, check_tol, propagate_checked
+from .qfi import FD_STEP_DEFAULT, EstimandTag, check_fd_step, qfi_points
 from .sweeps import (
-    FIGURE_MIN_POINTS,
     FIGURES,
     SweepConfig,
     figure_dataset,
     format_float,
     json_float,
-    resolve_parallelism,
     run_sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -43,45 +41,56 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_param_flags(sub):
-    # None means "not given"; true defaults are filled in when params are built
-    sub.add_argument("--gamma", type=float, default=None, help="dephasing rate (default 0.4)")
-    sub.add_argument("--ej", type=float, default=None, help="Josephson energy of both qubits (default 0.1)")
-    sub.add_argument("--em", type=float, default=None, help="mutual coupling energy (default 0.1)")
-    sub.add_argument("--e", type=float, default=None,
-                     help="shorthand setting ej = em = E (explicit --ej/--em win)")
-    sub.add_argument("--ec1", type=float, default=None, help="charging energy, qubit 1 (default 1.0)")
-    sub.add_argument("--ec2", type=float, default=None, help="charging energy, qubit 2 (default 1.0)")
-    sub.add_argument("--ng1", type=float, default=None, help="gate charge, qubit 1 (default 0.5)")
-    sub.add_argument("--ng2", type=float, default=None, help="gate charge, qubit 2 (default 0.5)")
-
-
 PARAM_DEFAULTS = {"gamma": 0.4, "ej": 0.1, "em": 0.1, "ec1": 1.0, "ec2": 1.0,
                   "ng1": 0.5, "ng2": 0.5}
 
 
+def _add_param_flags(sub):
+    # None means "not given"; true defaults are filled in when params are built
+    def add(name, text):
+        sub.add_argument(f"--{name}", type=float, default=None,
+                         help=f"{text} (default {PARAM_DEFAULTS[name]})")
+
+    add("gamma", "dephasing rate")
+    add("ej", "Josephson energy of both qubits")
+    add("em", "mutual coupling energy")
+    sub.add_argument("--e", type=float, default=None,
+                     help="shorthand setting ej = em = E (explicit --ej/--em win)")
+    add("ec1", "charging energy, qubit 1")
+    add("ec2", "charging energy, qubit 2")
+    add("ng1", "gate charge, qubit 1")
+    add("ng2", "gate charge, qubit 2")
+
+
 def _build_params(args, file_cfg: dict | None = None) -> SystemParams:
     cfg = file_cfg or {}
+    e_short = args.e if args.e is not None else cfg.get("e")
 
-    def pick(name, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
+    def pick(name):
+        # flag, then config file, then the --e shorthand for ej/em, then the default
+        if getattr(args, name) is not None:
+            return getattr(args, name)
         if name in cfg:
             return cfg[name]
-        return default
+        if name in ("ej", "em") and e_short is not None:
+            return e_short
+        return PARAM_DEFAULTS[name]
 
-    e_short = args.e if args.e is not None else cfg.get("e")
-    base = e_short if e_short is not None else PARAM_DEFAULTS["ej"]
-    ej = pick("ej", base)
-    em = pick("em", base)
+    ej = pick("ej")
     try:
-        return SystemParams(e_c1=pick("ec1", 1.0), e_c2=pick("ec2", 1.0),
-                            e_j1=ej, e_j2=ej, e_m=em,
-                            n_g1=pick("ng1", 0.5), n_g2=pick("ng2", 0.5),
-                            gamma=pick("gamma", 0.4))
+        return SystemParams(e_c1=pick("ec1"), e_c2=pick("ec2"), e_j1=ej, e_j2=ej,
+                            e_m=pick("em"), n_g1=pick("ng1"), n_g2=pick("ng2"),
+                            gamma=pick("gamma"))
     except ValueError as exc:
         raise _UsageError(str(exc))
+
+
+def _check_option(flag: str, check, value) -> None:
+    """Run a library validator on an option value; its ValueError is a usage error."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}")
 
 
 def _build_parser() -> _Parser:
@@ -139,16 +148,22 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _time_grid(args) -> np.ndarray:
+    """The --t-max/--points grid of evolve and audit."""
+    if args.points < 2 or args.t_max <= 0:
+        raise _UsageError(f"{args.command} needs --points >= 2 and --t-max > 0")
+    _check_option("--t-max", check_time, args.t_max)
+    return np.linspace(0.0, args.t_max, args.points)
+
+
 def _cmd_evolve(args) -> int:
     p = _build_params(args)
-    if args.points < 2 or args.t_max <= 0:
-        raise _UsageError("evolve needs --points >= 2 and --t-max > 0")
+    times = _time_grid(args)
     header = ["t"]
     for i in range(1, 5):
         for j in range(1, 5):
             header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
     lines = [",".join(header)]
-    times = np.linspace(0.0, args.t_max, args.points)
     for t, mat in zip(times, propagate_checked(bell_state_psi_plus(), [p] * len(times), times)):
         fields = [format_float(float(t))]
         for i in range(4):
@@ -161,8 +176,8 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_qfi(args) -> int:
     p = _build_params(args)
-    if args.t < 0:
-        raise _UsageError("--t must be >= 0")
+    _check_option("--t", check_time, args.t)
+    _check_option("--fd-step", check_fd_step, args.fd_step)
     eta = EstimandTag(args.param)
     # the SLD value fails only where the breakdown fails, with the same error
     breakdown, sld = qfi_points([(p, args.t)], eta, args.fd_step)[0]
@@ -242,16 +257,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.points < FIGURE_MIN_POINTS:
-        raise _UsageError(f"--points must be >= {FIGURE_MIN_POINTS} for figure presets")
+    # a sweep reports per-point failures as error rows, so a ValueError here
+    # is a rejected option; nothing is written before the options pass
     try:
-        parallelism = resolve_parallelism(args.parallelism)
+        dataset = figure_dataset(args.figure_id, points=args.points,
+                                 parallelism=args.parallelism, fd_step=args.fd_step)
     except ValueError as exc:
         raise _UsageError(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = figure_dataset(args.figure_id, points=args.points,
-                             parallelism=parallelism, fd_step=args.fd_step)
     for label, result in dataset:
         path = out_dir / f"{args.figure_id}_{label}.csv"
         path.write_text(sweep_to_csv(result), encoding="utf-8", newline="\n")
@@ -260,9 +274,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_audit(args) -> int:
     p = _build_params(args)
-    if args.points < 2 or args.t_max <= 0:
-        raise _UsageError("audit needs --points >= 2 and --t-max > 0")
-    grid = [float(t) for t in np.linspace(0.0, args.t_max, args.points)]
+    grid = _time_grid(args)
+    _check_option("--tol", check_tol, args.tol)
     report = audit_analytic(p, grid, tol=args.tol)
     _write_text(args.out, report.to_json() + "\n")
     return 0

@@ -4,9 +4,12 @@ propagators, and an audited closed-form solution.
 The authoritative propagator is the matrix exponential of the Liouvillian
 (scaling-and-squaring), applied to batches of states by propagate_many. An
 adaptive Runge-Kutta integration of the right-hand side is an independent
-cross-check. The closed-form rho(t) at the degeneracy point is kept exactly
-as derived even though its lambda3 radicand is dimensionally suspect;
-audit_analytic measures its deviation from propagate_many instead of fixing it.
+cross-check. Both routes check each time once (check_time) and each output
+state once against the single state contract (model.state_faults, which
+DensityMatrix applies); neither has a check of its own. The closed-form
+rho(t) at the degeneracy point is kept exactly as derived even though its
+lambda3 radicand is dimensionally suspect; audit_analytic measures its
+deviation from propagate_many instead of fixing it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ContractViolationError, IntegrationError
+from .errors import IntegrationError
 from .model import (
     Z1,
     Z2,
@@ -29,13 +32,10 @@ from .model import (
     as_matrix,
     bell_state_psi_plus,
     build_hamiltonian,
-    hermiticity_and_trace_deviation,
     state_faults,
     _readonly,
 )
 
-# propagator output beyond this trace/Hermiticity deviation signals a kernel bug
-PROPAGATOR_ATOL = 1e-8
 # generators exponentiated per expm call in propagate_many
 EXPM_CHUNK = 128
 
@@ -48,9 +48,17 @@ _LIOUVILLIAN_DEPHASING = tuple(2.0 * np.kron(sz.T, sz) - np.kron(EYE4, sz @ sz)
 
 
 def check_time(t: float) -> None:
-    """Evolution runs forward only: ValueError for t < 0."""
+    """Evolution runs forward over a finite time: ValueError for t < 0, nan or inf."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
+def check_tol(tol: float) -> None:
+    """ValueError unless the audit tolerance is a finite number > 0."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
@@ -95,36 +103,14 @@ def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
     return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 
-def propagation_faults(mats: np.ndarray) -> list:
-    """The propagator's own output check over an (n, 4, 4) stack.
-
-    Entry k is the ContractViolationError for a non-finite state or for a
-    trace or Hermiticity deviation above 1e-8 (a kernel bug, not a physics
-    failure), or None. The stricter DensityMatrix contract is checked
-    separately, and only on states that pass this one.
-    """
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):
-        herm, tr_dev = hermiticity_and_trace_deviation(mats)
-    faults = [None] * len(mats)
-    for k in np.flatnonzero(~finite | (herm > PROPAGATOR_ATOL) | (tr_dev > PROPAGATOR_ATOL)):
-        if not finite[k]:
-            faults[k] = ContractViolationError("propagator output is not finite")
-        else:
-            faults[k] = ContractViolationError(
-                f"propagator output broke the state contract (hermiticity {herm[k]:.3e}, "
-                f"trace deviation {tr_dev[k]:.3e}); exponential kernel bug")
-    return faults
-
-
 def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
     """propagate_expm over paired sequences of SystemParams and times >= 0.
 
     One Liouvillian per distinct parameter set and one stacked expm call
     per EXPM_CHUNK states; each state is bit-identical to propagate_expm's,
     whatever the chunking. Returns the (n, 4, 4) stack of states and, per
-    state, the ContractViolationError that propagate_expm raises for it, or
-    None. Times are not checked here.
+    state, its state_faults entry: the ContractViolationError that
+    propagate_expm raises for it, or None. Times are not checked here.
     """
     if not len(params):
         return np.empty((0, 4, 4), dtype=complex), []
@@ -135,11 +121,7 @@ def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
         expm_states(rho0, np.stack([liouvillian(p) for p in params[s:s + EXPM_CHUNK]])
                     * times[s:s + EXPM_CHUNK])
         for s in range(0, len(params), EXPM_CHUNK)])
-    faults = propagation_faults(mats)
-    valid = [k for k, fault in enumerate(faults) if fault is None]
-    for k, fault in zip(valid, state_faults(mats[valid])):
-        faults[k] = fault
-    return mats, faults
+    return mats, state_faults(mats)
 
 
 def propagate_checked(rho0, params, times) -> np.ndarray:
@@ -154,13 +136,6 @@ def propagate_checked(rho0, params, times) -> np.ndarray:
     return mats
 
 
-def _check_propagated(mat: np.ndarray) -> DensityMatrix:
-    fault = propagation_faults(mat[np.newaxis])[0]
-    if fault is not None:
-        raise fault
-    return DensityMatrix(mat)
-
-
 def propagate_expm(rho0, p: SystemParams, t: float) -> DensityMatrix:
     """Propagate rho0 to time t via expm(L t) acting on vec(rho0).
 
@@ -169,7 +144,7 @@ def propagate_expm(rho0, p: SystemParams, t: float) -> DensityMatrix:
     """
     check_time(t)
     generator = build_liouvillian(p).matrix * t
-    return _check_propagated(expm_states(rho0, generator[np.newaxis])[0])
+    return DensityMatrix(expm_states(rho0, generator[np.newaxis])[0])
 
 
 def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> DensityMatrix:
@@ -196,7 +171,7 @@ def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> Dens
                     rtol=rel_tol, atol=1e-12, t_eval=[t])
     if not sol.success:
         raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    return _check_propagated(sol.y[:, -1].reshape((4, 4)))
+    return DensityMatrix(sol.y[:, -1].reshape((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +323,7 @@ def audit_analytic(p: SystemParams, t_grid, tol: float = 1e-8) -> AuditReport:
     "consistent" iff the largest entrywise deviation over the grid stays
     within tol.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_tol(tol)
     grid = tuple(float(t) for t in t_grid)
     max_dev = 0.0
     deviating = []

@@ -100,22 +100,20 @@ def build_hamiltonian(p: SystemParams) -> np.ndarray:
     return _readonly(h)
 
 
-def hermiticity_and_trace_deviation(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of an (n, 4, 4) stack: largest |M - M^H| entry and |tr M - 1|."""
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr_dev = np.abs(mats.diagonal(axis1=-2, axis2=-1).sum(axis=-1) - 1.0)
-    return herm, tr_dev
-
-
 def state_faults(mats: np.ndarray) -> list:
-    """The density-matrix contract over an (n, 4, 4) stack.
+    """The density-matrix contract over an (n, 4, 4) stack; the only place
+    that decides whether a matrix is a valid state.
 
     Entry k is the ContractViolationError that DensityMatrix(mats[k]) raises,
-    or None. Checks run in the order Hermiticity, trace, positivity; the
-    eigenvalues are only taken of matrices that pass the first two.
+    or None. Checks run in the order finiteness, Hermiticity (1e-10), trace
+    (1e-9), positivity (-1e-9); the eigenvalues are only taken of matrices
+    that pass the first three.
     """
-    herm, tr_dev = hermiticity_and_trace_deviation(mats)
-    checked = ~(herm > HERMITICITY_ATOL) & ~(tr_dev > TRACE_ATOL)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr_dev = np.abs(mats.diagonal(axis1=-2, axis2=-1).sum(axis=-1) - 1.0)
+    checked = finite & (herm <= HERMITICITY_ATOL) & (tr_dev <= TRACE_ATOL)
     if checked.all():
         lowest = _lowest_eigenvalues(mats)
     else:
@@ -124,7 +122,9 @@ def state_faults(mats: np.ndarray) -> list:
             lowest[checked] = _lowest_eigenvalues(mats[checked])
     faults = [None] * len(mats)
     for k in np.flatnonzero(~checked | (lowest < EIGENVALUE_FLOOR)):
-        if herm[k] > HERMITICITY_ATOL:
+        if not finite[k]:
+            msg = "state has non-finite entries"
+        elif herm[k] > HERMITICITY_ATOL:
             msg = f"Hermiticity deviation {herm[k]:.3e} exceeds {HERMITICITY_ATOL:.0e}"
         elif tr_dev[k] > TRACE_ATOL:
             msg = f"trace deviation {tr_dev[k]:.3e} exceeds {TRACE_ATOL:.0e}"
@@ -142,8 +142,9 @@ def _lowest_eigenvalues(mats: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """4x4 Hermitian, unit-trace, positive-semidefinite state.
 
-    Construction validates the numerical contract: Hermiticity deviation
-    <= 1e-10, |trace - 1| <= 1e-9, eigenvalues >= -1e-9.
+    Construction validates the numerical contract (state_faults): finite
+    entries, Hermiticity deviation <= 1e-10, |trace - 1| <= 1e-9,
+    eigenvalues >= -1e-9.
     """
 
     mat: np.ndarray

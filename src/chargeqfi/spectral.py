@@ -54,7 +54,7 @@ def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
 
 
 def decompose_many(rhos: np.ndarray) -> tuple:
-    """Array form of spectral_decompose over an (n, 4, 4) stack of states.
+    """Array form of spectral_decompose over an (n, 4, 4) stack of finite states.
 
     One batched eigh. Returns (eigenvalues, eigenvectors, clamped, n_clamped,
     faults), the first four stacked along the leading axis; faults[k] is the
@@ -80,7 +80,10 @@ def decompose_many(rhos: np.ndarray) -> tuple:
 
 def spectral_decompose(rho) -> SpectralDecomposition:
     """Descending, gauge-fixed eigensystem of a Hermitian state."""
-    vals, vecs, clamped, n_clamped, faults = decompose_many(as_matrix(rho)[np.newaxis])
+    mat = as_matrix(rho)
+    if not np.isfinite(mat).all():
+        raise ContractViolationError("cannot decompose a matrix with non-finite entries")
+    vals, vecs, clamped, n_clamped, faults = decompose_many(mat[np.newaxis])
     if faults[0] is not None:
         raise faults[0]
     return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,

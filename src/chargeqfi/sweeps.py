@@ -56,7 +56,8 @@ class SweepConfig:
     """One-dimensional sweep of the Fisher information.
 
     axis selects what varies: "time" sweeps t, the parameter axes sweep the
-    named energy/rate at fixed evaluation time t.
+    named energy/rate at fixed evaluation time t. axis_start, axis_end and t
+    must be finite.
     """
 
     params: SystemParams
@@ -73,6 +74,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        for name in ("axis_start", "axis_end", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.axis_start < self.axis_end):
             raise ValueError(f"axis_start must be < axis_end, got [{self.axis_start}, {self.axis_end}]")
         if self.points < 2:

@@ -155,13 +155,25 @@ def test_audit_json_output(capsys):
     assert payload["grid"] == [0.0, 1.0, 2.0]
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli(["qfi"], capsys)[0] == 1                       # missing --param
     assert run_cli(["qfi", "--param", "gamma", "--bogus"], capsys)[0] == 1
     assert run_cli(["qfi", "--param", "gamma", "--gamma", "-1"], capsys)[0] == 1
     assert run_cli(["qfi", "--param", "gamma", "--t", "-2"], capsys)[0] == 1
     assert run_cli(["figure", "fig1a", "--points", "10"], capsys)[0] == 1
     assert run_cli(["evolve", "--points", "1"], capsys)[0] == 1
+    # non-finite and out-of-range option values
+    for value in ("inf", "nan"):
+        assert run_cli(["evolve", "--t-max", value, "--points", "3"], capsys)[0] == 1
+        assert run_cli(["audit", "--t-max", value, "--points", "3"], capsys)[0] == 1
+        assert run_cli(["qfi", "--param", "gamma", "--t", value], capsys)[0] == 1
+        assert run_cli(["audit", "--tol", value, "--points", "3"], capsys)[0] == 1
+        assert run_cli(["sweep", "--param", "gamma", "--axis-end", value], capsys)[0] == 1
+    assert run_cli(["qfi", "--param", "gamma", "--fd-step", "1"], capsys)[0] == 1
+    assert run_cli(["audit", "--tol", "0", "--points", "3"], capsys)[0] == 1
+    out_dir = tmp_path / "figures"
+    assert run_cli(["figure", "fig1a", "--fd-step", "1", "--out", str(out_dir)], capsys)[0] == 1
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("env,flags,name", [

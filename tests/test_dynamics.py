@@ -18,11 +18,13 @@ from chargeqfi.dynamics import (
     audit_analytic,
     EXPM_CHUNK,
     build_liouvillian,
+    check_time,
     lindblad_rhs,
     propagate_expm,
     propagate_many,
     propagate_rk,
 )
+from chargeqfi import model
 from chargeqfi.errors import ContractViolationError
 from chargeqfi.model import (
     SystemParams,
@@ -30,6 +32,7 @@ from chargeqfi.model import (
     bell_state_psi_plus,
     build_hamiltonian,
     max_abs_diff,
+    state_faults,
 )
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
@@ -157,10 +160,74 @@ def test_propagate_rk_t0_short_circuits():
 def test_propagate_argument_validation():
     with pytest.raises(ValueError):
         propagate_expm(BELL, P_REF, -0.1)
+    # rejected before either kernel runs: the integrator does not return on nan or inf
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            propagate_expm(BELL, P_REF, t)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            propagate_rk(BELL, P_REF, t)
     with pytest.raises(ValueError):
         propagate_rk(BELL, P_REF, 1.0, rel_tol=1e-13)
     with pytest.raises(ValueError):
         propagate_rk(BELL, P_REF, 1.0, rel_tol=1e-3)
+
+
+def test_check_time_rejects_non_finite_times():
+    check_time(0.0)
+    check_time(1e300)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            check_time(t)
+    # negative times keep their message, -inf included
+    for t in (-1.0, float("-inf")):
+        with pytest.raises(ValueError, match=f"^t must be >= 0, got {t}$"):
+            check_time(t)
+
+
+@pytest.mark.parametrize("entry,dev,fault", [
+    # on both sides of 1e-8, where a second, looser propagator check would change the message
+    ((0, 1), 1e-9, "Hermiticity deviation"), ((0, 1), 1e-7, "Hermiticity deviation"),
+    ((3, 3), 5e-9, "trace deviation"), ((3, 3), 1e-7, "trace deviation"),
+    # below the contract's thresholds
+    ((0, 1), 5e-11, None), ((3, 3), 5e-10, None),
+])
+def test_propagated_states_meet_the_state_contract_alone(entry, dev, fault):
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho0[entry] += dev
+    # expm(L 0) is exactly the identity, so rho0 comes back unchanged
+    mats, faults = propagate_many(rho0, [P_REF], [0.0])
+    assert np.array_equal(mats[0], rho0)
+    expected = state_faults(rho0[np.newaxis])[0]
+    if fault is None:
+        assert faults == [None] and expected is None
+        assert np.array_equal(propagate_expm(rho0, P_REF, 0.0).mat, rho0)
+        return
+    assert str(expected).startswith(fault)
+    assert str(faults[0]) == str(expected)
+    with pytest.raises(ContractViolationError) as single:
+        propagate_expm(rho0, P_REF, 0.0)
+    assert str(single.value) == str(expected)
+
+
+@pytest.mark.parametrize("propagate", [propagate_expm, propagate_rk])
+def test_propagators_report_the_state_contract(propagate):
+    # both routes preserve the trace, so twice the Bell state stays at trace 2
+    with pytest.raises(ContractViolationError, match="^trace deviation 1.000e\\+00 exceeds 1e-09$"):
+        propagate(2.0 * as_matrix(BELL), P_REF, 1.0)
+
+
+@pytest.mark.parametrize("propagate", [propagate_expm, propagate_rk])
+def test_each_propagator_call_checks_its_state_once(monkeypatch, propagate):
+    calls = []
+
+    def counting_state_faults(mats):
+        calls.append(len(mats))
+        return real_state_faults(mats)
+
+    real_state_faults = model.state_faults
+    monkeypatch.setattr(model, "state_faults", counting_state_faults)
+    propagate(BELL, P_REF, 1.0)
+    assert calls == [1]
 
 
 def test_propagate_many_equals_propagate_expm_across_chunks():
@@ -178,7 +245,7 @@ def test_propagate_many_equals_propagate_expm_across_chunks():
             with pytest.raises(ContractViolationError) as single:
                 propagate_expm(BELL, p, t)
             assert isinstance(faults[k], ContractViolationError)
-            assert str(faults[k]) == str(single.value) == "propagator output is not finite"
+            assert str(faults[k]) == str(single.value) == "state has non-finite entries"
         else:
             assert faults[k] is None
             assert np.array_equal(mats[k], propagate_expm(BELL, p, t).mat)
@@ -264,6 +331,12 @@ def test_audit_of_an_empty_grid_is_consistent():
     assert rep.verdict == "consistent"
     assert rep.grid == () and rep.max_abs_deviation == 0.0
     assert rep.deviating_entries == () and rep.failures == ()
+
+
+def test_audit_tolerance_validation():
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+            audit_analytic(P_REF, (1.0,), tol=tol)
 
 
 def test_audit_collects_domain_failures():

@@ -154,6 +154,16 @@ def test_density_matrix_tolerates_roundoff():
     DensityMatrix(m)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_matrices(value):
+    full = np.full((4, 4), value, dtype=complex)
+    # one non-finite diagonal entry leaves every other check blind
+    one_entry = np.diag([value, 0.5, 0.5, 0.0]).astype(complex)
+    for mat in (full, one_entry):
+        with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
+            DensityMatrix(mat)
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams(gamma=-0.1)

@@ -14,6 +14,7 @@ from chargeqfi.qfi import (
     cramer_rao,
     d_rho,
     qfi_components,
+    qfi_points,
     qfi_sld,
     spectral_derivative,
 )
@@ -219,3 +220,12 @@ def test_breakdown_floor_enforcement():
     with pytest.raises(ContractViolationError):
         QfiBreakdown(f_total=1.0, f_c=-1e-9, f_p=1.0, f_m=0.0, crb=1.0,
                      fd_step=1e-4, n_clamped=0, gauge_residual=0.0)
+
+
+def test_qfi_points_reports_non_finite_times():
+    results = qfi_points([(P_REF, float("nan")), (P_REF, 1.0), (P_REF, float("inf"))],
+                         EstimandTag.GAMMA)
+    for (breakdown, sld), t in zip(results[::2], ("nan", "inf")):
+        assert isinstance(breakdown, ValueError) and sld is breakdown
+        assert str(breakdown) == f"t must be finite, got {t}"
+    assert results[1][0] == qfi_components(P_REF, 1.0, EstimandTag.GAMMA)

@@ -135,6 +135,16 @@ def test_decompose_rejects_non_hermitian():
         spectral_decompose(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_decompose_rejects_non_finite(value):
+    from chargeqfi.errors import ContractViolationError
+
+    bad = as_matrix(BELL).copy()
+    bad[0, 0] = value
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        spectral_decompose(bad)
+
+
 def test_analytic_eigensystem_reference_point():
     eig = analytic_eigensystem(P_REF, 2.0)
     eps = eig.eigenvalues

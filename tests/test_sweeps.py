@@ -138,6 +138,13 @@ def test_sweep_config_validation():
         small_time_sweep(fd_step=1.0)
     with pytest.raises(ValueError):
         small_time_sweep(output_format="yaml")
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^axis_start must be finite"):
+            small_time_sweep(axis_start=bad)
+        with pytest.raises(ValueError, match="^axis_end must be finite"):
+            small_time_sweep(axis_end=bad)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            small_time_sweep(t=bad)
     # t only matters off the time axis, where it must be non-negative
     small_time_sweep(t=-1.0)
     with pytest.raises(ValueError):
@@ -268,6 +275,6 @@ def test_non_finite_states_become_typed_error_rows():
     assert res.rows[0].error is None
     assert res.rows[0].breakdown == qfi_components(P_OFF, 1.0, EstimandTag.GAMMA)
     assert res.rows[0].sld == qfi_sld(P_OFF, 1.0, EstimandTag.GAMMA)
-    assert [row.error for row in res.rows[1:]] == ["propagator output is not finite"] * 3
-    with pytest.raises(ContractViolationError, match="^propagator output is not finite$"):
+    assert [row.error for row in res.rows[1:]] == ["state has non-finite entries"] * 3
+    with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
         propagate_expm(bell_state_psi_plus(), P_OFF, 1e300)
