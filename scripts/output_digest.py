@@ -26,6 +26,10 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
 - d_rho and spectral_derivative (array bytes, dtypes, near_degenerate_pairs,
   or the exception class and text) for 3 estimands x t in {0, 1e-6, 1, 2,
   7.5, -1, 1e300} x h in {1e-4, 1e-8, 1e-2} at both points.
+- the states and fault texts of one propagate_many call over EXPM_CHUNK + 37
+  parameter sets that interleave off-degenerate and degenerate ones, so that
+  a set recurs within and across expm chunks (sweeps and presets only hold
+  contiguous blocks of equal sets).
 
 Every CLI call records its argv, exit code, stdout and stderr. Files go to a
 temporary directory that is removed afterwards; no tracked file is written.
@@ -54,11 +58,11 @@ SWEEP_AXES = (("gamma", "0", "0.6"), ("ej", "0.05", "0.3"), ("em", "0.05", "0.3"
 def import_checkout(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
     import chargeqfi
-    from chargeqfi import cli, model, qfi, sweeps
+    from chargeqfi import cli, dynamics, model, qfi, sweeps
 
     if Path(chargeqfi.__file__).resolve().parents[2] != checkout:
         sys.exit(f"chargeqfi was imported from {chargeqfi.__file__}, not from {checkout}")
-    return cli, model, qfi, sweeps
+    return cli, dynamics, model, qfi, sweeps
 
 
 def run_cli(cli, argv) -> bytes:
@@ -96,8 +100,21 @@ def derivative_bytes(model, qfi, flags) -> list:
     return outputs
 
 
+def interleaved_states(dynamics, model) -> bytes:
+    """States and faults of one propagate_many call whose parameter sets cycle
+    p, q, p, q with 4 off-degenerate and 3 degenerate sets (gamma 0 among them)."""
+    off = [model.SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=g)
+           for g in (0.0, 0.1, 0.3, 0.5)]
+    deg = [model.SystemParams.degenerate(e_j=e, e_m=e, gamma=0.4) for e in (0.05, 0.1, 0.2)]
+    n = dynamics.EXPM_CHUNK + 37
+    params = [off[k // 2 % 4] if k % 2 == 0 else deg[k // 2 % 3] for k in range(n)]
+    times = [0.037 * k for k in range(n)]
+    mats, faults = dynamics.propagate_many(model.bell_state_psi_plus(), params, times)
+    return f"{mats.dtype} {mats.shape} {[str(f) for f in faults]}".encode() + mats.tobytes()
+
+
 def collect(checkout: Path, tmp: Path) -> list:
-    cli, model, qfi, sweeps = import_checkout(checkout)
+    cli, dynamics, model, qfi, sweeps = import_checkout(checkout)
     outputs = []
     for flags in (DEFAULT_FLAGS, OFF_FLAGS):
         points = ["--points", "300"] if flags else []
@@ -125,6 +142,7 @@ def collect(checkout: Path, tmp: Path) -> list:
     artifact = tmp / "closed_form_audit.json"
     runpy.run_path(str(checkout / "scripts" / "write_audit_artifact.py"))["main"]([str(artifact)])
     outputs.append(artifact.read_bytes())
+    outputs.append(interleaved_states(dynamics, model))
     return outputs
 
 

@@ -15,7 +15,6 @@ deviation from propagate_many instead of fixing it.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -84,13 +83,25 @@ class Liouvillian:
     params: SystemParams
 
 
+def liouvillian_stack(params) -> np.ndarray:
+    """(n, 16, 16) generators of a sequence of SystemParams, as one array expression.
+
+    -1j (I (x) H - H^T (x) I) + (gamma/8) sum_j dephasing_j, with the element
+    products and summation order of np.kron, so each slice is bit-identical
+    to the generator of its parameter set built alone.
+    """
+    h = np.stack([build_hamiltonian(p) for p in params])
+    mat = -1j * ((EYE4[:, None, :, None] * h[:, None, :, None, :]).reshape(-1, 16, 16)
+                 - (h.swapaxes(1, 2)[:, :, None, :, None] * EYE4[:, None, :]).reshape(-1, 16, 16))
+    gamma = np.array([p.gamma for p in params])[:, np.newaxis, np.newaxis]
+    for dephasing in _LIOUVILLIAN_DEPHASING:
+        mat = mat + (gamma / 8.0) * dephasing
+    return mat
+
+
 def build_liouvillian(p: SystemParams) -> Liouvillian:
     """Generator L with unvec(L vec(rho)) = lindblad_rhs(rho) for every rho."""
-    h = build_hamiltonian(p)
-    mat = -1j * (np.kron(EYE4, h) - np.kron(h.T, EYE4))
-    for dephasing in _LIOUVILLIAN_DEPHASING:
-        mat = mat + (p.gamma / 8.0) * dephasing
-    return Liouvillian(matrix=_readonly(mat), params=p)
+    return Liouvillian(matrix=_readonly(liouvillian_stack([p])[0]), params=p)
 
 
 def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
@@ -106,21 +117,23 @@ def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
 def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
     """propagate_expm over paired sequences of SystemParams and times >= 0.
 
-    One Liouvillian per distinct parameter set and one stacked expm call
-    per EXPM_CHUNK states; each state is bit-identical to propagate_expm's,
-    whatever the chunking. Returns the (n, 4, 4) stack of states and, per
-    state, its state_faults entry: the ContractViolationError that
-    propagate_expm raises for it, or None. Times are not checked here.
+    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's distinct
+    parameter sets and one stacked expm call; each state is bit-identical to
+    propagate_expm's, whatever the chunking. Returns the (n, 4, 4) stack of
+    states and, per state, its state_faults entry: the ContractViolationError
+    that propagate_expm raises for it, or None. Times are not checked here.
     """
     if not len(params):
         return np.empty((0, 4, 4), dtype=complex), []
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
-    liouvillian = functools.cache(lambda p: build_liouvillian(p).matrix)
+    chunks = []
     # in chunks, so that the generator stacks held at once do not grow with len(params)
-    mats = np.concatenate([
-        expm_states(rho0, np.stack([liouvillian(p) for p in params[s:s + EXPM_CHUNK]])
-                    * times[s:s + EXPM_CHUNK])
-        for s in range(0, len(params), EXPM_CHUNK)])
+    for s in range(0, len(params), EXPM_CHUNK):
+        distinct = {}  # the chunk's distinct sets, in order of first appearance
+        inverse = [distinct.setdefault(p, len(distinct)) for p in params[s:s + EXPM_CHUNK]]
+        generators = liouvillian_stack(list(distinct))[inverse]
+        chunks.append(expm_states(rho0, generators * times[s:s + EXPM_CHUNK]))
+    mats = np.concatenate(chunks)
     return mats, state_faults(mats)
 
 

@@ -275,7 +275,8 @@ def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
     # faults[j::n] are the base, +h and -h state faults of point j
     state_fault = [_first_fault(*faults[j::n]) for j in range(n)]
     # such a point fails before any eigen result of it is read; the stand-in
-    # states keep a non-finite one from stopping the batched eigh
+    # states keep a faulty one (non-finite, or finite but huge) out of the
+    # sums, where it would raise overflow and invalid-value warnings
     states[np.array([fault is not None for fault in state_fault] * 3)] = np.eye(4) / 4
     base, plus, minus = states.reshape(3, n, 4, 4)
     vals, vecs, clamped, n_clamped, eig_faults = decompose_many(states)

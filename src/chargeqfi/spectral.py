@@ -54,21 +54,28 @@ def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
 
 
 def decompose_many(rhos: np.ndarray) -> tuple:
-    """Array form of spectral_decompose over an (n, 4, 4) stack of finite states.
+    """Array form of spectral_decompose over an (n, 4, 4) stack.
 
     One batched eigh. Returns (eigenvalues, eigenvectors, clamped, n_clamped,
     faults), the first four stacked along the leading axis; faults[k] is the
     ContractViolationError spectral_decompose raises for rhos[k], or None.
-    The eigenvalue floor is checked before the eigen residual.
+    Finiteness is checked first (a non-finite matrix is solved as the
+    maximally mixed stand-in, whose eigensystem is then meaningless), then
+    the eigenvalue floor, then the eigen residual.
     """
+    finite = np.isfinite(rhos).all(axis=(-2, -1))
+    if not finite.all():
+        rhos = np.where(finite[:, np.newaxis, np.newaxis], rhos, np.eye(4) / 4)
     vals, vecs = np.linalg.eigh(rhos)
     vals = vals[..., ::-1]
     vecs = _fix_gauge(vecs[..., ::-1])
     residual = np.abs(rhos @ vecs - vecs * vals[..., np.newaxis, :]).max(axis=(-2, -1))
     lowest = vals.min(axis=-1)
     faults = [None] * len(rhos)
-    for k in np.flatnonzero((lowest < EIGENVALUE_FLOOR) | (residual > RESIDUAL_ATOL)):
-        if lowest[k] < EIGENVALUE_FLOOR:
+    for k in np.flatnonzero(~finite | (lowest < EIGENVALUE_FLOOR) | (residual > RESIDUAL_ATOL)):
+        if not finite[k]:
+            faults[k] = ContractViolationError("cannot decompose a matrix with non-finite entries")
+        elif lowest[k] < EIGENVALUE_FLOOR:
             faults[k] = ContractViolationError(
                 f"eigenvalue {lowest[k]:.3e} below the state floor {EIGENVALUE_FLOOR:.0e}")
         else:
@@ -80,10 +87,7 @@ def decompose_many(rhos: np.ndarray) -> tuple:
 
 def spectral_decompose(rho) -> SpectralDecomposition:
     """Descending, gauge-fixed eigensystem of a Hermitian state."""
-    mat = as_matrix(rho)
-    if not np.isfinite(mat).all():
-        raise ContractViolationError("cannot decompose a matrix with non-finite entries")
-    vals, vecs, clamped, n_clamped, faults = decompose_many(mat[np.newaxis])
+    vals, vecs, clamped, n_clamped, faults = decompose_many(as_matrix(rho)[np.newaxis])
     if faults[0] is not None:
         raise faults[0]
     return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,

@@ -56,8 +56,9 @@ class SweepConfig:
     """One-dimensional sweep of the Fisher information.
 
     axis selects what varies: "time" sweeps t, the parameter axes sweep the
-    named energy/rate at fixed evaluation time t. axis_start, axis_end and t
-    must be finite.
+    named energy/rate at fixed evaluation time t. points is an int;
+    axis_start, axis_end, t and fd_step are real numbers (bool and str are
+    rejected), and the first three are finite.
     """
 
     params: SystemParams
@@ -74,11 +75,16 @@ class SweepConfig:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        for name in ("axis_start", "axis_end", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("axis_start", "axis_end", "t", "fd_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if name != "fd_step" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.axis_start < self.axis_end):
             raise ValueError(f"axis_start must be < axis_end, got [{self.axis_start}, {self.axis_end}]")
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
         check_fd_step(self.fd_step)

@@ -174,6 +174,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     out_dir = tmp_path / "figures"
     assert run_cli(["figure", "fig1a", "--fd-step", "1", "--out", str(out_dir)], capsys)[0] == 1
     assert not out_dir.exists()
+    # wrongly typed config-file values are usage errors, not tracebacks
+    cfg = tmp_path / "cfg.json"
+    for entry in ({"points": 3.5}, {"points": 5.0}, {"points": "5"}, {"points": True},
+                  {"t": "1"}, {"axis_end": "5"}, {"fd_step": "0.001"}):
+        cfg.write_text(json.dumps({"estimand": "gamma", **entry}))
+        code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 1 and err.startswith(f"error: {next(iter(entry))} must be")
 
 
 @pytest.mark.parametrize("env,flags,name", [

@@ -20,11 +20,12 @@ from chargeqfi.dynamics import (
     build_liouvillian,
     check_time,
     lindblad_rhs,
+    liouvillian_stack,
     propagate_expm,
     propagate_many,
     propagate_rk,
 )
-from chargeqfi import model
+from chargeqfi import dynamics, model
 from chargeqfi.errors import ContractViolationError
 from chargeqfi.model import (
     SystemParams,
@@ -255,6 +256,68 @@ def test_propagate_many_empty_batch():
     mats, faults = propagate_many(BELL, [], [])
     assert mats.shape == (0, 4, 4)
     assert faults == []
+
+
+def kron_liouvillian(p):
+    """The generator written out per parameter set with np.kron."""
+    h = build_hamiltonian(p)
+    mat = -1j * (np.kron(np.eye(4), h) - np.kron(h.T, np.eye(4)))
+    for sz in (model.Z1, model.Z2):
+        dephasing = (2.0 * np.kron(sz.T, sz) - np.kron(np.eye(4), sz @ sz)
+                     - np.kron((sz @ sz).T, np.eye(4)))
+        mat = mat + (p.gamma / 8.0) * dephasing
+    return mat
+
+
+P_OFF = SystemParams(e_j1=0.2, e_j2=0.3, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+# degenerate, off-degenerate and gamma = 0 sets with duplicates, then
+# p, q, p, q interleaved across the first chunk boundary
+MIXED_PARAMS = ([P_REF, P_OFF, SystemParams(gamma=0.0), P_REF, SystemParams(gamma=0.0)]
+                + [(P_OFF, P_REF)[k % 2] for k in range(EXPM_CHUNK + 37)])
+
+
+def test_liouvillian_stack_is_the_kron_formula_bit_for_bit():
+    stack = liouvillian_stack(MIXED_PARAMS)
+    assert stack.shape == (len(MIXED_PARAMS), 16, 16)
+    for p, mat in zip(MIXED_PARAMS, stack):
+        assert np.array_equal(mat, kron_liouvillian(p))
+        assert np.array_equal(build_liouvillian(p).matrix, kron_liouvillian(p))
+
+
+def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
+    builds, generators = [], []
+
+    def counting_stack(params):
+        builds.append(list(params))
+        return real_stack(params)
+
+    def recording_expm_states(rho0, stack):
+        generators.extend(stack)
+        return real_expm_states(rho0, stack)
+
+    real_stack, real_expm_states = dynamics.liouvillian_stack, dynamics.expm_states
+    monkeypatch.setattr(dynamics, "liouvillian_stack", counting_stack)
+    monkeypatch.setattr(dynamics, "expm_states", recording_expm_states)
+    # at t = 1 each generator reaches expm unscaled
+    propagate_many(BELL, MIXED_PARAMS, [1.0] * len(MIXED_PARAMS))
+    chunks = [MIXED_PARAMS[s:s + EXPM_CHUNK] for s in range(0, len(MIXED_PARAMS), EXPM_CHUNK)]
+    assert builds == [list(dict.fromkeys(chunk)) for chunk in chunks]
+    assert [len(built) for built in builds] == [3, 2]
+    assert len(generators) == len(MIXED_PARAMS)
+    for p, generator in zip(MIXED_PARAMS, generators):
+        assert np.array_equal(generator, kron_liouvillian(p))
+
+
+def test_rk_route_never_builds_the_generator(monkeypatch):
+    def no_generator(params):
+        raise AssertionError("the generator was built")
+
+    oracle = propagate_expm(BELL, P_OFF, 1.0).mat
+    monkeypatch.setattr(dynamics, "liouvillian_stack", no_generator)
+    with pytest.raises(AssertionError, match="generator was built"):
+        propagate_expm(BELL, P_OFF, 1.0)
+    assert lindblad_rhs(BELL, P_OFF).shape == (4, 4)
+    assert max_abs_diff(propagate_rk(BELL, P_OFF, 1.0).mat, oracle) < 1e-7
 
 
 def test_analytic_state_matrix_structure():

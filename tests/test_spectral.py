@@ -1,13 +1,17 @@
 """Eigendecomposition, gauge fixing, and the printed eigensystem."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chargeqfi.dynamics import analytic_state_matrix, propagate_expm
 from chargeqfi.model import SystemParams, as_matrix, bell_state_psi_plus, max_abs_diff
+from chargeqfi.errors import ContractViolationError
 from chargeqfi.spectral import (
     EIGENVALUE_CLAMP,
     analytic_eigensystem,
+    decompose_many,
     spectral_decompose,
 )
 
@@ -127,8 +131,6 @@ def test_constant_invariant_plane():
 
 
 def test_decompose_rejects_non_hermitian():
-    from chargeqfi.errors import ContractViolationError
-
     bad = as_matrix(BELL).copy()
     bad[0, 1] = 0.1
     with pytest.raises(ContractViolationError):
@@ -137,12 +139,34 @@ def test_decompose_rejects_non_hermitian():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_decompose_rejects_non_finite(value):
-    from chargeqfi.errors import ContractViolationError
-
     bad = as_matrix(BELL).copy()
     bad[0, 0] = value
     with pytest.raises(ContractViolationError, match="non-finite"):
         spectral_decompose(bad)
+
+
+def test_decompose_many_reports_non_finite_matrices_per_point():
+    nan_entry = as_matrix(BELL).copy()
+    nan_entry[0, 0] = np.nan
+    inf_entry = as_matrix(BELL).copy()
+    inf_entry[1, 2] = np.inf
+    stack = np.stack([as_matrix(BELL), nan_entry, evolved(2.0).mat, inf_entry,
+                      np.full((4, 4), np.nan), evolved(0.5).mat])
+    before = stack.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs, clamped, n_clamped, faults = decompose_many(stack)
+    assert np.array_equal(stack, before, equal_nan=True)
+    for k in (1, 3, 4):
+        assert isinstance(faults[k], ContractViolationError)
+        assert str(faults[k]) == "cannot decompose a matrix with non-finite entries"
+    for k in (0, 2, 5):
+        assert faults[k] is None
+        single = spectral_decompose(stack[k])
+        assert np.array_equal(vals[k], single.eigenvalues)
+        assert np.array_equal(vecs[k], single.eigenvectors)
+        assert np.array_equal(clamped[k], single.clamped)
+        assert n_clamped[k] == single.n_clamped
 
 
 def test_analytic_eigensystem_reference_point():

@@ -145,6 +145,15 @@ def test_sweep_config_validation():
             small_time_sweep(axis_end=bad)
         with pytest.raises(ValueError, match="^t must be finite"):
             small_time_sweep(t=bad)
+    # wrongly typed fields, as a JSON config file may hold them
+    for bad in (3.5, 5.0, "5", True):
+        with pytest.raises(ValueError, match="^points must be an integer"):
+            small_time_sweep(points=bad)
+    for name, bad in (("axis_start", "0"), ("axis_end", "5"), ("t", "1"), ("t", True),
+                      ("axis_end", False), ("fd_step", "0.001"), ("fd_step", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            small_time_sweep(**{name: bad})
+    small_time_sweep(axis_start=0, axis_end=2, t=1)  # ints are real numbers
     # t only matters off the time axis, where it must be non-negative
     small_time_sweep(t=-1.0)
     with pytest.raises(ValueError):
