@@ -24,6 +24,7 @@ from scipy.linalg import expm
 
 from .errors import IntegrationError
 from .model import (
+    PARAM_FIELDS,
     Z1,
     Z2,
     DensityMatrix,
@@ -31,6 +32,8 @@ from .model import (
     as_matrix,
     bell_state_psi_plus,
     build_hamiltonian,
+    hamiltonian_stack,
+    param_rows,
     state_faults,
     _readonly,
 )
@@ -83,25 +86,31 @@ class Liouvillian:
     params: SystemParams
 
 
-def liouvillian_stack(params) -> np.ndarray:
-    """(n, 16, 16) generators of a sequence of SystemParams, as one array expression.
+def liouvillian_stack(rows: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """(n, 16, 16) generators of (n, 8) model.param_rows, as one array expression.
 
     -1j (I (x) H - H^T (x) I) + (gamma/8) sum_j dephasing_j, with the element
     products and summation order of np.kron, so each slice is bit-identical
-    to the generator of its parameter set built alone.
+    to the generator of its parameter set built alone. h, the rows'
+    Hamiltonians if at hand, defaults to hamiltonian_stack(rows).
     """
-    h = np.stack([build_hamiltonian(p) for p in params])
-    mat = -1j * ((EYE4[:, None, :, None] * h[:, None, :, None, :]).reshape(-1, 16, 16)
-                 - (h.swapaxes(1, 2)[:, :, None, :, None] * EYE4[:, None, :]).reshape(-1, 16, 16))
-    gamma = np.array([p.gamma for p in params])[:, np.newaxis, np.newaxis]
+    h = hamiltonian_stack(rows) if h is None else h
+    h_t = np.ascontiguousarray(h.swapaxes(1, 2))  # broadcasts ~4x faster than the view
+    # in place: fresh (n, 16, 16) temporaries cost more than the arithmetic
+    mat = (EYE4[:, None, :, None] * h[:, None, :, None, :]).reshape(-1, 16, 16)
+    mat -= (h_t[:, :, None, :, None] * EYE4[:, None, :]).reshape(-1, 16, 16)
+    mat *= -1j
+    gamma = rows[:, PARAM_FIELDS.index("gamma"), np.newaxis, np.newaxis]
     for dephasing in _LIOUVILLIAN_DEPHASING:
-        mat = mat + (gamma / 8.0) * dephasing
+        mat += (gamma / 8.0) * dephasing
     return mat
 
 
 def build_liouvillian(p: SystemParams) -> Liouvillian:
     """Generator L with unvec(L vec(rho)) = lindblad_rhs(rho) for every rho."""
-    return Liouvillian(matrix=_readonly(liouvillian_stack([p])[0]), params=p)
+    # the scalar Hamiltonian is ~20 us faster than a one-row hamiltonian_stack
+    generator = liouvillian_stack(param_rows([p]), build_hamiltonian(p)[np.newaxis])[0]
+    return Liouvillian(matrix=_readonly(generator), params=p)
 
 
 def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
@@ -118,20 +127,26 @@ def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
     """propagate_expm over paired sequences of SystemParams and times >= 0.
 
     Per EXPM_CHUNK states, one liouvillian_stack of the chunk's distinct
-    parameter sets and one stacked expm call; each state is bit-identical to
+    parameter rows and one stacked expm call; each state is bit-identical to
     propagate_expm's, whatever the chunking. Returns the (n, 4, 4) stack of
     states and, per state, its state_faults entry: the ContractViolationError
     that propagate_expm raises for it, or None. Times are not checked here.
     """
-    if not len(params):
+    return _propagate_rows(rho0, param_rows(params), times)
+
+
+def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple[np.ndarray, list]:
+    """propagate_many over the param_rows of valid SystemParams."""
+    if not len(rows):
         return np.empty((0, 4, 4), dtype=complex), []
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
     chunks = []
-    # in chunks, so that the generator stacks held at once do not grow with len(params)
-    for s in range(0, len(params), EXPM_CHUNK):
-        distinct = {}  # the chunk's distinct sets, in order of first appearance
-        inverse = [distinct.setdefault(p, len(distinct)) for p in params[s:s + EXPM_CHUNK]]
-        generators = liouvillian_stack(list(distinct))[inverse]
+    # in chunks, so that the generator stacks held at once do not grow with len(rows)
+    for s in range(0, len(rows), EXPM_CHUNK):
+        distinct = {}  # distinct rows by first appearance; -0.0 == 0.0, as in SystemParams
+        inverse = [distinct.setdefault(row, len(distinct))
+                   for row in map(tuple, rows[s:s + EXPM_CHUNK].tolist())]
+        generators = liouvillian_stack(np.array(list(distinct)))[inverse]
         chunks.append(expm_states(rho0, generators * times[s:s + EXPM_CHUNK]))
     mats = np.concatenate(chunks)
     return mats, state_faults(mats)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,7 +67,8 @@ class SystemParams:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
@@ -82,22 +85,40 @@ class SystemParams:
         return self.n_g1 == 0.5 and self.n_g2 == 0.5 and self.e_j1 == self.e_j2
 
 
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
+def param_rows(params) -> np.ndarray:
+    """(n, 8) float rows of a sequence of SystemParams, columns in PARAM_FIELDS order."""
+    return np.array([attrgetter(*PARAM_FIELDS)(p) for p in params], dtype=float).reshape(-1, 8)
+
+
 def kappa_coefficients(p: SystemParams) -> tuple[float, float]:
     """Effective charge-sector coefficients (kappa1, kappa2) of the Hamiltonian.
 
     kappa1 = 2 E_c1 (1 - 2 n_g1) + E_m (1 - 2 n_g2), and symmetrically for
-    kappa2. Both vanish exactly at n_g1 = n_g2 = 1/2.
+    kappa2, of scalar fields or of broadcastable arrays (hamiltonian_stack).
+    Both vanish exactly at n_g1 = n_g2 = 1/2.
     """
     k1 = 2.0 * p.e_c1 * (1.0 - 2.0 * p.n_g1) + p.e_m * (1.0 - 2.0 * p.n_g2)
     k2 = 2.0 * p.e_c2 * (1.0 - 2.0 * p.n_g2) + p.e_m * (1.0 - 2.0 * p.n_g1)
     return k1, k2
 
 
+def _hamiltonian(p) -> np.ndarray:
+    k1, k2 = kappa_coefficients(p)
+    return -0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ)
+
+
 def build_hamiltonian(p: SystemParams) -> np.ndarray:
     """4x4 Hamiltonian -1/2 {k1 Z1 + k2 Z2 + EJ1 X1 + EJ2 X2 - 2 Em Z1 Z2}."""
-    k1, k2 = kappa_coefficients(p)
-    h = -0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ)
-    return _readonly(h)
+    return _readonly(_hamiltonian(p))
+
+
+def hamiltonian_stack(rows: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) Hamiltonians of (n, 8) param_rows, as one broadcast expression;
+    slice k is bit-identical to build_hamiltonian of the set of row k."""
+    return _hamiltonian(SimpleNamespace(**dict(zip(PARAM_FIELDS, rows.T[..., None, None]))))
 
 
 def state_faults(mats: np.ndarray) -> list:

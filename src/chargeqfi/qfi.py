@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
-from .model import SystemParams, bell_state_psi_plus, _readonly
-from .dynamics import check_time, propagate_checked, propagate_many
+from .model import PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows, _readonly
+from .dynamics import check_time, propagate_checked, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
 FD_STEP_MIN = 1e-7
@@ -51,12 +51,13 @@ class EstimandTag(enum.Enum):
     EJ = "ej"
     EM = "em"
 
+    @property
+    def fields(self) -> tuple:
+        """The SystemParams fields the estimand moves, all by the same delta."""
+        return {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",)}[self.value]
+
     def shifted(self, p: SystemParams, delta: float) -> SystemParams:
-        if self is EstimandTag.GAMMA:
-            return dataclasses.replace(p, gamma=p.gamma + delta)
-        if self is EstimandTag.EJ:
-            return dataclasses.replace(p, e_j1=p.e_j1 + delta, e_j2=p.e_j2 + delta)
-        return dataclasses.replace(p, e_m=p.e_m + delta)
+        return dataclasses.replace(p, **{name: getattr(p, name) + delta for name in self.fields})
 
 
 def check_fd_step(h: float) -> None:
@@ -254,24 +255,30 @@ def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
     Entry k is (breakdown, sld) for points[k]; each is the value or the
     exception that qfi_components / qfi_sld raise there, the first failure
     in the order the module docstring gives. The base, +h and -h states of
-    all points come from one propagate_many call and are decomposed in one
-    batched eigh; branch matching and both sums run over the stack.
+    all points come from one row-level propagate_many and are decomposed in
+    one batched eigh; branch matching and both sums run over the stack.
     """
     out = [None] * len(points)
-    live = []  # (k, t, (p, p + h, p - h)) of the points in domain
+    live = []  # (k, t, p) of the points in domain
     for k, (p, t) in enumerate(points):
         try:
             check_time(t)
             check_step(p, eta, h)
-            live.append((k, t, (p, eta.shifted(p, +h), eta.shifted(p, -h))))
+            live.append((k, t, p))
         except ValueError as exc:
             out[k] = (exc, exc)
     if not live:
         return out
     n = len(live)
-    ks, times, shifts = zip(*live)
-    states, faults = propagate_many(bell_state_psi_plus(),
-                                    [q for group in zip(*shifts) for q in group], times * 3)
+    ks, times, params = zip(*live)
+    # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
+    # stays -0.0. They need no re-validation: check_step keeps gamma - h >= 0,
+    # and a step of at most FD_STEP_MAX cannot make a finite field non-finite.
+    rows = np.tile(param_rows(params), (3, 1))
+    cols = [PARAM_FIELDS.index(name) for name in eta.fields]
+    rows[n:2 * n, cols] += h
+    rows[2 * n:, cols] -= h
+    states, faults = _propagate_rows(bell_state_psi_plus(), rows, times * 3)
     # faults[j::n] are the base, +h and -h state faults of point j
     state_fault = [_first_fault(*faults[j::n]) for j in range(n)]
     # such a point fails before any eigen result of it is read; the stand-in

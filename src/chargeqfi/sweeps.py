@@ -117,14 +117,14 @@ def resolve_parallelism(requested: int | None) -> int:
 
     Sweeps run as one batch in the calling thread, so the count changes
     nothing; it is still resolved so that a bad value is reported. ValueError
-    unless the count is an integer >= 1.
+    unless the count is an integer >= 1 (True and False are not counts).
     """
     if requested is not None:
         name, value = "parallelism", requested
     else:
         name, value = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or 1
     try:
-        count = int(value)
+        count = 0 if isinstance(value, bool) else int(value)
     except (TypeError, ValueError):
         count = 0
     if count < 1:
@@ -135,11 +135,8 @@ def resolve_parallelism(requested: int | None) -> int:
 def _point_inputs(cfg: SweepConfig, value: float) -> tuple[SystemParams, float]:
     if cfg.axis == "time":
         return cfg.params, value
-    if cfg.axis == "gamma":
-        return dataclasses.replace(cfg.params, gamma=value), cfg.t
-    if cfg.axis == "ej":
-        return dataclasses.replace(cfg.params, e_j1=value, e_j2=value), cfg.t
-    return dataclasses.replace(cfg.params, e_m=value), cfg.t
+    fields = dict.fromkeys(EstimandTag(cfg.axis).fields, value)  # the fields its estimand moves
+    return dataclasses.replace(cfg.params, **fields), cfg.t
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

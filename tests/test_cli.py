@@ -181,6 +181,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         cfg.write_text(json.dumps({"estimand": "gamma", **entry}))
         code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1 and err.startswith(f"error: {next(iter(entry))} must be")
+    # JSON true/false are neither parameter values nor worker counts
+    sweep = {"estimand": "gamma", "points": 3, "axis_start": 0.5, "axis_end": 1}
+    for entry, name in (({"gamma": True, "parallelism": True}, "gamma"),
+                        ({"ej": False}, "e_j1"), ({"parallelism": True}, "parallelism")):
+        cfg.write_text(json.dumps({**sweep, **entry}))
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 1 and out == "" and err.startswith(f"error: {name} must be")
 
 
 @pytest.mark.parametrize("env,flags,name", [

@@ -33,6 +33,7 @@ from chargeqfi.model import (
     bell_state_psi_plus,
     build_hamiltonian,
     max_abs_diff,
+    param_rows,
     state_faults,
 )
 
@@ -276,20 +277,26 @@ MIXED_PARAMS = ([P_REF, P_OFF, SystemParams(gamma=0.0), P_REF, SystemParams(gamm
                 + [(P_OFF, P_REF)[k % 2] for k in range(EXPM_CHUNK + 37)])
 
 
+# negative and signed-zero fields, where array_equal would hide a flipped zero
+EDGE_PARAMS = [SystemParams(e_j1=-0.2, e_j2=-0.0, e_m=-0.15, n_g1=0.55, n_g2=-0.0, gamma=0.0),
+               SystemParams(e_c1=-0.0, e_c2=2, e_j1=0.0, e_j2=-0.1, e_m=-0.0, gamma=-0.0)]
+
+
 def test_liouvillian_stack_is_the_kron_formula_bit_for_bit():
-    stack = liouvillian_stack(MIXED_PARAMS)
-    assert stack.shape == (len(MIXED_PARAMS), 16, 16)
-    for p, mat in zip(MIXED_PARAMS, stack):
-        assert np.array_equal(mat, kron_liouvillian(p))
-        assert np.array_equal(build_liouvillian(p).matrix, kron_liouvillian(p))
+    params = MIXED_PARAMS + EDGE_PARAMS
+    stack = liouvillian_stack(param_rows(params))
+    assert stack.shape == (len(params), 16, 16)
+    for p, mat in zip(params, stack):
+        assert mat.tobytes() == kron_liouvillian(p).tobytes()
+        assert build_liouvillian(p).matrix.tobytes() == kron_liouvillian(p).tobytes()
 
 
 def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
     builds, generators = [], []
 
-    def counting_stack(params):
-        builds.append(list(params))
-        return real_stack(params)
+    def counting_stack(rows):
+        builds.append(rows.copy())
+        return real_stack(rows)
 
     def recording_expm_states(rho0, stack):
         generators.extend(stack)
@@ -301,15 +308,24 @@ def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
     # at t = 1 each generator reaches expm unscaled
     propagate_many(BELL, MIXED_PARAMS, [1.0] * len(MIXED_PARAMS))
     chunks = [MIXED_PARAMS[s:s + EXPM_CHUNK] for s in range(0, len(MIXED_PARAMS), EXPM_CHUNK)]
-    assert builds == [list(dict.fromkeys(chunk)) for chunk in chunks]
-    assert [len(built) for built in builds] == [3, 2]
+    # each chunk builds its distinct rows, in order of first appearance
+    assert [rows.tobytes() for rows in builds] == [
+        param_rows(list(dict.fromkeys(chunk))).tobytes() for chunk in chunks]
+    assert [len(rows) for rows in builds] == [3, 2]
     assert len(generators) == len(MIXED_PARAMS)
     for p, generator in zip(MIXED_PARAMS, generators):
-        assert np.array_equal(generator, kron_liouvillian(p))
+        assert generator.tobytes() == kron_liouvillian(p).tobytes()
+    # rows that differ only by the sign of a zero are one set, as SystemParams
+    # are: the first one builds the generator of both
+    builds.clear()
+    signed = [SystemParams(e_m=-0.0), SystemParams(e_m=0.0)]
+    assert signed[0] == signed[1]
+    propagate_many(BELL, signed, [1.0, 1.0])
+    assert [rows.tobytes() for rows in builds] == [param_rows(signed[:1]).tobytes()]
 
 
 def test_rk_route_never_builds_the_generator(monkeypatch):
-    def no_generator(params):
+    def no_generator(*args):
         raise AssertionError("the generator was built")
 
     oracle = propagate_expm(BELL, P_OFF, 1.0).mat

@@ -12,8 +12,10 @@ from chargeqfi.model import (
     as_matrix,
     bell_state_psi_plus,
     build_hamiltonian,
+    hamiltonian_stack,
     kappa_coefficients,
     max_abs_diff,
+    param_rows,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -103,6 +105,24 @@ def test_charging_energy_irrelevant_at_degeneracy():
     assert np.array_equal(build_hamiltonian(a), build_hamiltonian(b))
 
 
+def test_hamiltonian_stack_is_build_hamiltonian_bit_for_bit():
+    params = [SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4),
+              SystemParams(e_c1=0.9, e_c2=1.3, e_j1=0.17, e_j2=0.23, e_m=0.31,
+                           n_g1=0.42, n_g2=0.61, gamma=0.3),
+              SystemParams(gamma=0.0),
+              SystemParams(e_c1=-1.5, e_j1=-0.2, e_j2=-0.3, e_m=-0.15, n_g1=-0.45, n_g2=1.55),
+              # signed zeros, which array_equal would not tell apart
+              SystemParams(e_c1=-0.0, e_j1=-0.0, e_j2=0.0, e_m=-0.0, n_g2=-0.0, gamma=-0.0),
+              SystemParams(e_c1=2, e_c2=0, e_j1=1, n_g1=0, n_g2=1)]  # int fields
+    rows = param_rows(params)
+    assert rows.shape == (len(params), 8) and rows.dtype == np.float64
+    stack = hamiltonian_stack(rows)
+    assert stack.shape == (len(params), 4, 4)
+    for p, h in zip(params, stack):
+        assert h.tobytes() == build_hamiltonian(p).tobytes()
+    assert param_rows([]).shape == (0, 8)
+
+
 def test_degenerate_identical_predicate():
     assert SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.0).degenerate_identical()
     off = SystemParams(e_j1=0.1, e_j2=0.1000001, n_g1=0.5, n_g2=0.5)
@@ -171,3 +191,8 @@ def test_system_params_validation():
         SystemParams(e_j1=float("nan"))
     with pytest.raises(ValueError):
         SystemParams(e_m=float("inf"))
+    # bool is an int subclass, not a real-valued field
+    for name in ("gamma", "e_j1", "n_g2"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                SystemParams(**{name: flag})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from chargeqfi import qfi
 from chargeqfi.dynamics import propagate_expm
 from chargeqfi.errors import ContractViolationError, DegenerateDerivativeError
-from chargeqfi.model import SystemParams, bell_state_psi_plus, max_abs_diff
+from chargeqfi.model import SystemParams, bell_state_psi_plus, max_abs_diff, param_rows
 from chargeqfi.qfi import (
     FD_STEP_DEFAULT,
     EstimandTag,
@@ -40,6 +41,26 @@ def test_estimand_shift_semantics():
     assert q.e_m == p.e_m
     r = EstimandTag.EM.shifted(p, -0.02)
     assert r.e_m == p.e_m - 0.02 and r.e_j1 == p.e_j1
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_qfi_points_shift_rows_are_the_shifted_params(monkeypatch, tag):
+    calls = []
+
+    def recording(rho0, rows, times):
+        calls.append(rows.copy())
+        return real(rho0, rows, times)
+
+    real = qfi._propagate_rows
+    monkeypatch.setattr(qfi, "_propagate_rows", recording)
+    # signed zeros off the estimand's columns must keep their sign
+    params = [P_REF, SystemParams(e_c1=-0.0, e_j1=0.2, e_j2=-0.0, e_m=-0.0, n_g1=0.45,
+                                  n_g2=-0.0, gamma=0.3)]
+    h = 1e-3
+    qfi_points([(p, 1.0) for p in params], tag, h)
+    expected = param_rows(params + [tag.shifted(p, +h) for p in params]
+                          + [tag.shifted(p, -h) for p in params])
+    assert len(calls) == 1 and calls[0].tobytes() == expected.tobytes()
 
 
 def test_d_rho_vanishes_at_t0():

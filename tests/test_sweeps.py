@@ -134,6 +134,9 @@ def test_sweep_config_validation():
         small_time_sweep(points=1)
     with pytest.raises(ValueError):
         small_time_sweep(parallelism=0)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^parallelism must be an integer"):
+            small_time_sweep(parallelism=flag)
     with pytest.raises(ValueError):
         small_time_sweep(fd_step=1.0)
     with pytest.raises(ValueError):
