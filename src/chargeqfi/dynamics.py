@@ -18,9 +18,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import IntegrationError
 from .model import (
@@ -42,6 +44,8 @@ from .model import (
 EXPM_CHUNK = 128
 
 EYE4 = np.eye(4, dtype=complex)
+# (256, 2) masks of the entries below (row > column) and above the diagonal of a flat 16x16
+_OFF_DIAGONAL_HALVES = np.sign(np.arange(16)[:, None] - np.arange(16)).reshape(256, 1) == [1, -1]
 # (Zj, 2 Zj, Zj Zj) per qubit, the constant factors of the dephasing terms in lindblad_rhs
 _RHS_DEPHASING = tuple((sz, 2.0 * sz, sz @ sz) for sz in (Z1, Z2))
 # vectorized dephasing term of each qubit, 2 Zj^T (x) Zj - I (x) Zj^2 - (Zj^2)^T (x) I
@@ -116,10 +120,29 @@ def build_liouvillian(p: SystemParams) -> Liouvillian:
 def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
     """unvec(expm(G) vec(rho0)) for each G of an (n, 16, 16) stack, as (n, 4, 4).
 
-    One scipy expm call over the stack; each slice is bit-identical to a
-    single-matrix call.
+    Each slice is bit-identical to scipy.linalg.expm of it alone: a slice with
+    nonzero (or nan) entries both below and above the diagonal runs scipy's Pade
+    kernels (scipy >= 1.17) as scipy's per-slice loop does, without its overhead;
+    a diagonal or triangular one (t = 0, e_j = 0) goes to scipy.linalg.expm.
     """
-    vecs = expm(generators) @ _vec(as_matrix(rho0))
+    generic = ((generators != 0).reshape(-1, 256) @ _OFF_DIAGONAL_HALVES).all(axis=1).tolist()
+    out = np.empty_like(generators)
+    work = np.empty((5, 16, 16), dtype=generators.dtype)
+    for k in compress(count(), generic):
+        work[0] = generators[k]
+        m, s = pick_pade_structure(work)  # scales work[0] by 2**-s
+        if m < 0:
+            raise MemoryError(f"expm could not allocate its Pade workspace (error code {m})")
+        info = pade_UV_calc(work, m)
+        if info != 0:  # scipy's classes: failed allocation, else a LAPACK error
+            raise (MemoryError if info <= -11 else RuntimeError)(f"expm failed (error code {info})")
+        out[k] = work[0]
+        for _ in range(s):
+            out[k] = out[k] @ out[k]
+    rest = [k for k, is_generic in enumerate(generic) if not is_generic]
+    if rest:
+        out[rest] = expm(generators[rest])
+    vecs = out @ _vec(as_matrix(rho0))
     return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 
@@ -146,8 +169,10 @@ def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple[np.ndarray, list]:
         distinct = {}  # distinct rows by first appearance; -0.0 == 0.0, as in SystemParams
         inverse = [distinct.setdefault(row, len(distinct))
                    for row in map(tuple, rows[s:s + EXPM_CHUNK].tolist())]
-        generators = liouvillian_stack(np.array(list(distinct)))[inverse]
-        chunks.append(expm_states(rho0, generators * times[s:s + EXPM_CHUNK]))
+        # a huge field overflows here; state_faults reports the state it gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            generators = liouvillian_stack(np.array(list(distinct)))[inverse] * times[s:s + EXPM_CHUNK]
+        chunks.append(expm_states(rho0, generators))
     mats = np.concatenate(chunks)
     return mats, state_faults(mats)
 

@@ -66,12 +66,7 @@ class SystemParams:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            check_field(f.name, getattr(self, f.name))
 
     @classmethod
     def degenerate(cls, e_j: float, e_m: float, gamma: float,
@@ -83,6 +78,14 @@ class SystemParams:
     def degenerate_identical(self) -> bool:
         """True iff n_g1 = n_g2 = 1/2 and both Josephson energies coincide."""
         return self.n_g1 == 0.5 and self.n_g2 == 0.5 and self.e_j1 == self.e_j2
+
+
+def check_field(name: str, value) -> None:
+    """ValueError unless value may be SystemParams field name: finite, real, not bool; gamma >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if name == "gamma" and value < 0.0:
+        raise ValueError(f"gamma must be >= 0, got {value}")
 
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))

@@ -66,12 +66,12 @@ def check_fd_step(h: float) -> None:
         raise ValueError(f"fd step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {h}")
 
 
-def check_step(p: SystemParams, eta: EstimandTag, h: float) -> None:
-    """ValueError unless both shifted points p +/- h exist (gamma - h >= 0)."""
+def check_step(gamma: float, eta: EstimandTag, h: float) -> None:
+    """ValueError unless both shifted points of a set with this gamma exist (gamma - h >= 0)."""
     check_fd_step(h)
-    if eta is EstimandTag.GAMMA and p.gamma - h < 0.0:
+    if eta is EstimandTag.GAMMA and gamma - h < 0.0:
         raise ValueError(
-            f"gamma - h = {p.gamma - h:.3e} < 0; shrink the step or move gamma away from 0")
+            f"gamma - h = {gamma - h:.3e} < 0; shrink the step or move gamma away from 0")
 
 
 def _central_difference(plus, minus, h: float):
@@ -80,7 +80,7 @@ def _central_difference(plus, minus, h: float):
 
 def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
     """Central-difference derivative of rho(t) with respect to the estimand."""
-    check_step(p, eta, h)
+    check_step(p.gamma, eta, h)
     plus, minus = propagate_checked(bell_state_psi_plus(),
                                     [eta.shifted(p, +h), eta.shifted(p, -h)], [t, t])
     return _central_difference(plus, minus, h)
@@ -161,7 +161,7 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
     propagate_checked call and one decompose_many call serve the base, +h
     and -h states, so all three pass their contract before any eigensystem.
     """
-    check_step(p, eta, h)
+    check_step(p.gamma, eta, h)
     states = propagate_checked(bell_state_psi_plus(),
                                [p, eta.shifted(p, +h), eta.shifted(p, -h)], [t] * 3)
     vals, vecs, _, _, eig_faults = decompose_many(states)
@@ -258,27 +258,31 @@ def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
     all points come from one row-level propagate_many and are decomposed in
     one batched eigh; branch matching and both sums run over the stack.
     """
-    out = [None] * len(points)
-    live = []  # (k, t, p) of the points in domain
-    for k, (p, t) in enumerate(points):
+    return _qfi_rows(param_rows([p for p, _ in points]), [t for _, t in points], eta, h)
+
+
+def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
+    """qfi_points over the param_rows of valid SystemParams and paired times."""
+    out = [None] * len(rows)
+    ks = []  # the points in domain
+    for k, (gamma, t) in enumerate(zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times)):
         try:
             check_time(t)
-            check_step(p, eta, h)
-            live.append((k, t, p))
+            check_step(gamma, eta, h)
+            ks.append(k)
         except ValueError as exc:
             out[k] = (exc, exc)
-    if not live:
+    if not ks:
         return out
-    n = len(live)
-    ks, times, params = zip(*live)
+    n = len(ks)
     # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
     # stays -0.0. They need no re-validation: check_step keeps gamma - h >= 0,
     # and a step of at most FD_STEP_MAX cannot make a finite field non-finite.
-    rows = np.tile(param_rows(params), (3, 1))
+    rows = np.tile(rows[ks], (3, 1))
     cols = [PARAM_FIELDS.index(name) for name in eta.fields]
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    states, faults = _propagate_rows(bell_state_psi_plus(), rows, times * 3)
+    states, faults = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
     # faults[j::n] are the base, +h and -h state faults of point j
     state_fault = [_first_fault(*faults[j::n]) for j in range(n)]
     # such a point fails before any eigen result of it is read; the stand-in

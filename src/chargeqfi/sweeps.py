@@ -1,19 +1,19 @@
 """Deterministic parameter sweeps and bundled figure presets.
 
-A sweep maps its axis to (SystemParams, t) points and evaluates them all in
-one qfi.qfi_points call, the evaluator behind qfi_components and qfi_sld
-too. A point whose parameters cannot be built, or whose evaluation fails,
-becomes an error row carrying the message of its first failure, in the
-order: domain (t, step) -> state contract of the base, +h and -h states ->
-base eigensystem -> shifted eigensystems -> branch matching -> breakdown
-floors. Every row is a pure function of the configuration and floats are
-formatted to 17 significant digits, so output bytes do not depend on the
-(accepted, no longer used) parallelism setting.
+A sweep maps its axis to parameter rows and times and evaluates them all in
+one call of the row-level core of qfi.qfi_points, the evaluator behind
+qfi_components and qfi_sld too. A point whose axis value is not a valid
+parameter, or whose evaluation fails, becomes an error row carrying the
+message of its first failure, in the order: domain (t, step) -> state
+contract of the base, +h and -h states -> base eigensystem -> shifted
+eigensystems -> branch matching -> breakdown floors. Every row is a pure
+function of the configuration and floats are formatted to 17 significant
+digits, so output bytes do not depend on the (accepted, no longer used)
+parallelism setting.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import PARAM_FIELDS, SystemParams, check_field, param_rows
 from .dynamics import check_time
-from .qfi import FD_STEP_DEFAULT, EstimandTag, QfiBreakdown, check_fd_step, qfi_points
+from .qfi import FD_STEP_DEFAULT, EstimandTag, QfiBreakdown, check_fd_step, _qfi_rows
 from . import __version__
 
 AXES = ("time", "gamma", "ej", "em")
@@ -38,11 +38,7 @@ FIGURE_MIN_POINTS = 50
 
 
 def format_float(x: float) -> str:
-    """17 significant digits, lowercase scientific; inf/nan spelled literally."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """17 significant digits, lowercase scientific; inf, -inf and nan (either sign) as such."""
     return f"{x:.16e}"
 
 
@@ -83,6 +79,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.axis_start < self.axis_end):
             raise ValueError(f"axis_start must be < axis_end, got [{self.axis_start}, {self.axis_end}]")
+        if not math.isfinite(self.axis_end - self.axis_start):
+            raise ValueError(f"axis_end - axis_start must be finite, got {self.axis_end - self.axis_start}")
         if isinstance(self.points, bool) or not isinstance(self.points, int):
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
@@ -132,27 +130,27 @@ def resolve_parallelism(requested: int | None) -> int:
     return count
 
 
-def _point_inputs(cfg: SweepConfig, value: float) -> tuple[SystemParams, float]:
-    if cfg.axis == "time":
-        return cfg.params, value
-    fields = dict.fromkeys(EstimandTag(cfg.axis).fields, value)  # the fields its estimand moves
-    return dataclasses.replace(cfg.params, **fields), cfg.t
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the sweep; per-point failures become error rows, not crashes."""
     values = [float(v) for v in np.linspace(cfg.axis_start, cfg.axis_end, cfg.points)]
-    inputs = []
+    # a parameter axis sets the fields its estimand moves; a value they reject is an error row
+    fields = () if cfg.axis == "time" else EstimandTag(cfg.axis).fields
+    field_faults = []
     for value in values:
         try:
-            inputs.append(_point_inputs(cfg, value))
+            for name in fields:
+                check_field(name, value)
+            field_faults.append(None)
         except ValueError as exc:
-            inputs.append(exc)
-    results = iter(qfi_points([point for point in inputs if not isinstance(point, ValueError)],
-                              cfg.estimand, cfg.fd_step))
+            field_faults.append(exc)
+    valid = [value for value, fault in zip(values, field_faults) if fault is None]
+    point_rows = np.tile(param_rows([cfg.params]), (len(valid), 1))
+    point_rows[:, [PARAM_FIELDS.index(name) for name in fields]] = np.array(valid)[:, np.newaxis]
+    times = valid if cfg.axis == "time" else [cfg.t] * len(valid)
+    results = iter(_qfi_rows(point_rows, times, cfg.estimand, cfg.fd_step))
     rows, worst = [], 0.0
-    for value, point in zip(values, inputs):
-        breakdown, sld = (point, point) if isinstance(point, ValueError) else next(results)
+    for value, fault in zip(values, field_faults):
+        breakdown, sld = (fault, fault) if fault is not None else next(results)
         if isinstance(breakdown, Exception):
             rows.append(SweepRow(axis_value=value, breakdown=None, sld=None, error=str(breakdown)))
         else:

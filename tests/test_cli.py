@@ -46,15 +46,15 @@ P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
     pytest.param(["qfi", "--param", "gamma", "--t", "2.0", *REF_FLAGS], [3], id="qfi"),
 ])
 def test_expm_batches(monkeypatch, capsys, call, batches):
-    """Generators per expm call; call is a CLI argv or a library call."""
+    """Generators per expm_states call; call is a CLI argv or a library call."""
     sizes = []
 
-    def counting_expm(a):
-        sizes.append(len(a) if a.ndim == 3 else 1)
-        return real_expm(a)
+    def counting_expm_states(rho0, generators):
+        sizes.append(len(generators))
+        return real_expm_states(rho0, generators)
 
-    real_expm = dynamics.expm
-    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    real_expm_states = dynamics.expm_states
+    monkeypatch.setattr(dynamics, "expm_states", counting_expm_states)
     if callable(call):
         call()
     else:
@@ -169,6 +169,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run_cli(["qfi", "--param", "gamma", "--t", value], capsys)[0] == 1
         assert run_cli(["audit", "--tol", value, "--points", "3"], capsys)[0] == 1
         assert run_cli(["sweep", "--param", "gamma", "--axis-end", value], capsys)[0] == 1
+    code, _, err = run_cli(["sweep", "--param", "gamma", "--axis", "gamma", "--axis-start=-1e308",
+                            "--axis-end=1e308", "--points", "3"], capsys)
+    assert code == 1 and err.startswith("error: axis_end - axis_start must be finite")
     assert run_cli(["qfi", "--param", "gamma", "--fd-step", "1"], capsys)[0] == 1
     assert run_cli(["audit", "--tol", "0", "--points", "3"], capsys)[0] == 1
     out_dir = tmp_path / "figures"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 import chargeqfi
 from chargeqfi.dynamics import (
@@ -257,6 +259,42 @@ def test_propagate_many_empty_batch():
     mats, faults = propagate_many(BELL, [], [])
     assert mats.shape == (0, 4, 4)
     assert faults == []
+
+
+def test_expm_states_is_scipy_expm_byte_for_byte():
+    p_off = SystemParams(e_j1=0.2, e_j2=0.3, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    generic = [build_liouvillian(p).matrix * t for p in (P_REF, p_off)
+               for t in (1e-6, 0.1, 0.3, 1.0, 2.0, 10.0, 50.0, 1e4)]
+    rng = np.random.default_rng(7)
+    upper = np.triu(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    diagonal = build_liouvillian(SystemParams(e_j1=0.0, e_j2=0.0, gamma=0.3)).matrix
+    nan_entry = build_liouvillian(P_REF).matrix.copy()
+    nan_entry[3, 5] = np.nan
+    nan_below = diagonal * 50.0  # a nan is a nonzero entry: lower triangular
+    nan_below[5, 3] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowing = build_liouvillian(SystemParams(e_m=1e308)).matrix
+    special = [0.0 * diagonal, diagonal * 2.0, upper * 0.1, upper * 50.0, upper.T * 50.0,
+               nan_entry, nan_below, np.full((16, 16), np.inf + 0j), overflowing]
+    stack = np.array(generic + special)
+    # the generic slices cover every Pade order, with and without scaling
+    work = np.empty((5, 16, 16), dtype=complex)
+    structures = set()
+    for g in generic:
+        work[0] = g
+        structures.add(pick_pade_structure(work))
+    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in structures) >= 10
+    assert not np.isfinite(stack[-3:]).all(axis=(1, 2)).any()
+    # each matrix unit as rho0 picks one column of every exponential
+    for k in range(16):
+        unit = np.zeros(16, dtype=complex)
+        unit[k] = 1.0
+        rho0 = unit.reshape(4, 4, order="F")
+        expected = (expm(stack) @ unit).reshape(-1, 4, 4).transpose(0, 2, 1)
+        assert dynamics.expm_states(rho0, stack).tobytes() == expected.tobytes()
+        for g, state in zip(stack, expected):  # and of each slice alone
+            assert dynamics.expm_states(rho0, g[np.newaxis]).tobytes() == state.tobytes()
 
 
 def kron_liouvillian(p):

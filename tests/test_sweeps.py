@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ def test_format_float_round_trip():
     assert format_float(1.0) == "1.0000000000000000e+00"
     assert format_float(float("inf")) == "inf"
     assert format_float(float("-inf")) == "-inf"
-    assert format_float(float("nan")) == "nan"
+    for nan in (float("nan"), -float("nan"), np.copysign(np.nan, -1.0)):
+        assert format_float(nan) == "nan"
     for x in (0.1, 1.0 / 3.0, 2.5e-17, 123456.789):
         assert float(format_float(x)) == x
 
@@ -148,6 +150,9 @@ def test_sweep_config_validation():
             small_time_sweep(axis_end=bad)
         with pytest.raises(ValueError, match="^t must be finite"):
             small_time_sweep(t=bad)
+    # finite bounds whose span overflows
+    with pytest.raises(ValueError, match="^axis_end - axis_start must be finite"):
+        small_time_sweep(axis="gamma", axis_start=-1e308, axis_end=1e308, points=3)
     # wrongly typed fields, as a JSON config file may hold them
     for bad in (3.5, 5.0, "5", True):
         with pytest.raises(ValueError, match="^points must be an integer"):
@@ -229,14 +234,19 @@ def _point(cfg, value):
 
 
 @pytest.mark.parametrize("axis,start,end", [("time", 0.5, 6.0), ("gamma", 0.2, 0.6),
-                                            ("ej", 0.05, 0.3), ("em", 0.05, 0.3)])
+                                            ("ej", 0.05, 0.3), ("em", 0.05, 0.3),
+                                            ("gamma", -0.4, 0.6), ("ej", -0.3, 0.2)])
 def test_batch_rows_equal_single_point_evaluation(axis, start, end):
     for eta in EstimandTag:
         cfg = SweepConfig(params=P_OFF, estimand=eta, axis=axis, axis_start=start,
                           axis_end=end, points=5, t=1.7)
         res = run_sweep(cfg)
         for row in res.rows:
-            p, t = _point(cfg, row.axis_value)
+            try:
+                p, t = _point(cfg, row.axis_value)
+            except ValueError as exc:  # gamma < 0: SystemParams' own message
+                assert row.error == str(exc) and row.breakdown is None and row.sld is None
+                continue
             assert row.error is None
             # every field bit for bit, the diagnostics included
             assert row.breakdown == qfi_components(p, t, eta), (axis, eta, row.axis_value)
@@ -278,6 +288,18 @@ def test_batch_matching_failures_keep_scalar_messages(monkeypatch):
         assert isinstance(breakdown, DegenerateDerivativeError)
         assert str(breakdown) == row.error
         assert sld == before.sld
+
+
+def test_overflowing_fields_fail_typed_without_warnings():
+    # e_m = 1e308 overflows the Hamiltonian; the state contract reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = SweepConfig(params=P_OFF, estimand=EstimandTag.EM, axis="em",
+                          axis_start=1e307, axis_end=1e308, points=3)
+        assert [row.error for row in run_sweep(cfg).rows] == ["state has non-finite entries"] * 3
+        for route in (qfi_components, qfi_sld):
+            with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
+                route(dataclasses.replace(P_REF, e_m=1e308), 1.0, EstimandTag.GAMMA)
 
 
 def test_non_finite_states_become_typed_error_rows():
