@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...]
+    python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...] [--per-output]
 
 DIR (default: the checkout holding this script) is a checkout of the
 repository; its src/ is imported and its scripts/write_audit_artifact.py
@@ -10,7 +10,9 @@ rebuilds the audit artifact. Two checkouts print the same digest exactly
 when every output below is byte-identical, so a change meant to keep the
 numbers can be compared with its parent. Each --drop TEXT is removed from
 every output before hashing, to compare across a deliberate rewording of
-one message.
+one message. --per-output first prints one `label sha256` line per output,
+the label being the output's position and its first line, so that two
+listings can be diffed to name the outputs that moved.
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
@@ -151,17 +153,22 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--drop", action="append", default=[],
                         help="text removed from every output before hashing (repeatable)")
+    parser.add_argument("--per-output", action="store_true",
+                        help="list a label and a SHA-256 per output before the digest")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = collect(args.checkout.resolve(), Path(tmp))
     digest = hashlib.sha256()
-    for output in outputs:
+    for index, output in enumerate(outputs):
         # the temporary directory's name differs from run to run
         output = output.replace(tmp.encode(), b"TMP")
         for text in args.drop:
             output = output.replace(text.encode(), b"")
         # length-prefixed, so that moving bytes between outputs changes the digest
         digest.update(len(output).to_bytes(8, "little") + output)
+        if args.per_output:
+            label = output.split(b"\n", 1)[0][:120].decode("ascii", "backslashreplace")
+            print(f"{index:03d} {label} {hashlib.sha256(output).hexdigest()}")
     print(digest.hexdigest())
     return 0
 

@@ -6,18 +6,22 @@ and eigenvectors (classical, pure and mixed contributions). The SLD value
 evaluates the symmetric-logarithmic-derivative expression directly from
 d(rho)/d(eta) and never sees the eigenvector derivatives, so agreement
 between the two is a real cross-check, not bookkeeping. The routes share
-the propagated states and the base eigensystem, never derivative arithmetic.
+the propagated states, the base eigensystem and the difference formula,
+never a derivative: the SLD differences rho itself.
 
-qfi_points evaluates both routes over a batch of points; qfi_components and
-qfi_sld are one-point calls of it. A point reports its first failure in the
-order: domain (t, then the step) -> state contract of the base, +h and -h
-states -> base eigensystem -> shifted eigensystems -> branch matching ->
-breakdown floors. The SLD value fails only on the first three.
+One row core, _derivative_rows, shifts the estimand by +h and -h and takes
+the central difference of rho and of the matched eigensystems. qfi_points
+reads both routes from it over a batch of points, d_rho and
+spectral_derivative over one; qfi_components and qfi_sld are one-point
+qfi_points calls. A point reports its first failure in the order: domain
+(t, then the step) -> state contract of the base, +h and -h states -> base
+eigensystem -> shifted eigensystems -> branch matching -> breakdown floors.
+d_rho stops after the second, the SLD value after the third and
+spectral_derivative after the fifth.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
 from .model import PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows, _readonly
-from .dynamics import check_time, propagate_checked, _propagate_rows
+from .dynamics import check_time, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
 FD_STEP_MIN = 1e-7
@@ -56,9 +60,6 @@ class EstimandTag(enum.Enum):
         """The SystemParams fields the estimand moves, all by the same delta."""
         return {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",)}[self.value]
 
-    def shifted(self, p: SystemParams, delta: float) -> SystemParams:
-        return dataclasses.replace(p, **{name: getattr(p, name) + delta for name in self.fields})
-
 
 def check_fd_step(h: float) -> None:
     """ValueError unless the finite-difference step lies in [1e-7, 1e-3]."""
@@ -72,18 +73,6 @@ def check_step(gamma: float, eta: EstimandTag, h: float) -> None:
     if eta is EstimandTag.GAMMA and gamma - h < 0.0:
         raise ValueError(
             f"gamma - h = {gamma - h:.3e} < 0; shrink the step or move gamma away from 0")
-
-
-def _central_difference(plus, minus, h: float):
-    return (plus - minus) / (2.0 * h)
-
-
-def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
-    """Central-difference derivative of rho(t) with respect to the estimand."""
-    check_step(p.gamma, eta, h)
-    plus, minus = propagate_checked(bell_state_psi_plus(),
-                                    [eta.shifted(p, +h), eta.shifted(p, -h)], [t, t])
-    return _central_difference(plus, minus, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +127,69 @@ def _match_branches(base_vecs: np.ndarray, side_vals: np.ndarray,
     return vals, vecs, faults
 
 
-def _central_differences(base_vecs, plus, minus, h: float) -> tuple[np.ndarray, np.ndarray, list]:
-    """Matched eigenvalue and eigenvector derivatives over a stack of points.
+def _checked(result):
+    """result, raised if it is an exception: a value, or a point's fault (None if it has none)."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    plus and minus are (eigenvalues, eigenvectors) stacks of the shifted
-    states. The fault of a point is its plus-side fault, else its minus-side one.
+
+def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tuple:
+    """Central differences at the param_rows of valid SystemParams and paired times.
+
+    Returns (ks, faults, base, derivatives). faults[k] is point k's first
+    fault (or None) up to each stage: domain; state contract of the base, +h
+    and -h states; base eigensystem; shifted eigensystems and matching. The
+    arrays run over the points in domain, ks: base is (eigenvalues,
+    eigenvectors, clamped, n_clamped) of the base states, derivatives is
+    (d_eigenvalues, d_eigenvectors, d_rho). One row-level propagate_many,
+    one batched eigh and one matching call serve all points and sides.
     """
-    vals_p, vecs_p, faults_p = _match_branches(base_vecs, *plus)
-    vals_m, vecs_m, faults_m = _match_branches(base_vecs, *minus)
-    faults = [fp if fp is not None else fm for fp, fm in zip(faults_p, faults_m)]
-    return (_central_difference(vals_p, vals_m, h), _central_difference(vecs_p, vecs_m, h),
-            faults)
+    faults = []
+    for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
+        try:
+            check_time(t)
+            check_step(gamma, eta, h)
+            faults.append(None)
+        except ValueError as exc:
+            faults.append((exc,) * 4)
+    ks = [k for k, fault in enumerate(faults) if fault is None]
+    n = len(ks)
+    # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
+    # stays -0.0. They need no re-validation: check_step keeps gamma - h >= 0,
+    # and a step of at most FD_STEP_MAX cannot make a finite field non-finite.
+    rows = np.tile(rows[ks], (3, 1))
+    cols = [PARAM_FIELDS.index(name) for name in eta.fields]
+    rows[n:2 * n, cols] += h
+    rows[2 * n:, cols] -= h
+    states, state_faults = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
+    # a point with a faulty state fails before any eigen result of it is read;
+    # a stand-in keeps that state (non-finite, or finite but huge) out of the
+    # sums, where it would raise overflow and invalid-value warnings
+    states[[fault is not None for fault in state_faults]] = np.eye(4) / 4
+    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(states)
+    side_vals, side_vecs, match_faults = _match_branches(np.tile(vecs[:n], (2, 1, 1)),
+                                                         vals[n:], vecs[n:])
+    # The one central difference, of the matched eigensystems and of rho. It
+    # stays (plus - minus) / (2.0 * h), not a weighted sum of the sides: on
+    # numpy 2.4.6 a weight 1 * z turns a complex -0.0 - 1j into 0.0 - 1j, and
+    # Python's sum(...) from 0 turns -0.0 into 0.0; either moves output bytes.
+    d_vals, d_vecs, drho = ((side[:n] - side[n:]) / (2.0 * h)
+                            for side in (side_vals, side_vecs, states[n:]))
+    # exceptions are truthy, so an `or` chain of faults is the first of them
+    for j, k in enumerate(ks):
+        state = state_faults[j] or state_faults[n + j] or state_faults[2 * n + j]
+        base = state or eig_faults[j]
+        faults[k] = (None, state, base, base or eig_faults[n + j] or eig_faults[2 * n + j]
+                     or match_faults[j] or match_faults[n + j])
+    return ks, faults, (vals[:n], vecs[:n], clamped[:n], n_clamped[:n]), (d_vals, d_vecs, drho)
+
+
+def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
+    """Central-difference derivative of rho(t) with respect to the estimand."""
+    _, (faults,), _, (_, _, drho) = _derivative_rows(param_rows([p]), [t], eta, h)
+    _checked(faults[1])
+    return drho[0]
 
 
 def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
@@ -157,19 +198,12 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
 
     The shifted decompositions are matched branch-by-branch to the base via
     maximal overlap; ambiguous matches (top two overlaps within 1e-3) raise
-    DegenerateDerivativeError rather than silently mixing branches. One
-    propagate_checked call and one decompose_many call serve the base, +h
-    and -h states, so all three pass their contract before any eigensystem.
+    DegenerateDerivativeError rather than silently mixing branches. A
+    one-point call of the derivative core, so the base, +h and -h states all
+    pass their contract before any eigensystem is read.
     """
-    check_step(p.gamma, eta, h)
-    states = propagate_checked(bell_state_psi_plus(),
-                               [p, eta.shifted(p, +h), eta.shifted(p, -h)], [t] * 3)
-    vals, vecs, _, _, eig_faults = decompose_many(states)
-    d_vals, d_vecs, match_faults = _central_differences(
-        vecs[:1], (vals[1:2], vecs[1:2]), (vals[2:], vecs[2:]), h)
-    fault = _first_fault(*eig_faults, *match_faults)
-    if fault is not None:
-        raise fault
+    _, (faults,), (vals, *_), (d_vals, d_vecs, _) = _derivative_rows(param_rows([p]), [t], eta, h)
+    _checked(faults[3])
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                     if abs(vals[0, i] - vals[0, j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
@@ -245,63 +279,30 @@ def _sld_sums(eps: np.ndarray, vecs: np.ndarray, drho: np.ndarray) -> np.ndarray
                             where=pair_sum > EIGENVALUE_CLAMP), axis=(-2, -1))
 
 
-def _first_fault(*faults):
-    return next((fault for fault in faults if fault is not None), None)
-
-
 def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
     """Breakdown and SLD value at each (SystemParams, t) of points, as one batch.
 
     Entry k is (breakdown, sld) for points[k]; each is the value or the
     exception that qfi_components / qfi_sld raise there, the first failure
-    in the order the module docstring gives. The base, +h and -h states of
-    all points come from one row-level propagate_many and are decomposed in
-    one batched eigh; branch matching and both sums run over the stack.
+    in the order the module docstring gives. Both sums run over the stack
+    of the derivative core.
     """
     return _qfi_rows(param_rows([p for p, _ in points]), [t for _, t in points], eta, h)
 
 
 def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     """qfi_points over the param_rows of valid SystemParams and paired times."""
-    out = [None] * len(rows)
-    ks = []  # the points in domain
-    for k, (gamma, t) in enumerate(zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times)):
-        try:
-            check_time(t)
-            check_step(gamma, eta, h)
-            ks.append(k)
-        except ValueError as exc:
-            out[k] = (exc, exc)
-    if not ks:
-        return out
-    n = len(ks)
-    # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
-    # stays -0.0. They need no re-validation: check_step keeps gamma - h >= 0,
-    # and a step of at most FD_STEP_MAX cannot make a finite field non-finite.
-    rows = np.tile(rows[ks], (3, 1))
-    cols = [PARAM_FIELDS.index(name) for name in eta.fields]
-    rows[n:2 * n, cols] += h
-    rows[2 * n:, cols] -= h
-    states, faults = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
-    # faults[j::n] are the base, +h and -h state faults of point j
-    state_fault = [_first_fault(*faults[j::n]) for j in range(n)]
-    # such a point fails before any eigen result of it is read; the stand-in
-    # states keep a faulty one (non-finite, or finite but huge) out of the
-    # sums, where it would raise overflow and invalid-value warnings
-    states[np.array([fault is not None for fault in state_fault] * 3)] = np.eye(4) / 4
-    base, plus, minus = states.reshape(3, n, 4, 4)
-    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(states)
-    sides = [(vals[s], vecs[s]) for s in (slice(n, 2 * n), slice(2 * n, None))]
-    d_vals, d_vecs, match_faults = _central_differences(vecs[:n], *sides, h)
-    f_c, f_p, f_m, gauge = _breakdown_sums(clamped[:n], vecs[:n], d_vals, d_vecs)
+    ks, faults, (_, vecs, clamped, n_clamped), (d_vals, d_vecs, drho) = \
+        _derivative_rows(rows, times, eta, h)
+    f_c, f_p, f_m, gauge = _breakdown_sums(clamped, vecs, d_vals, d_vecs)
     f_total = f_c + f_p - f_m
-    sld = _sld_sums(clamped[:n], vecs[:n], _central_difference(plus, minus, h))
+    sld = _sld_sums(clamped, vecs, drho)
+    # the SLD value fails only up to the base eigensystem
+    out = [(fault[2], fault[2]) for fault in faults]
     for j, k in enumerate(ks):
-        fault = _first_fault(state_fault[j], eig_faults[j])
-        if fault is not None:
-            out[k] = (fault, fault)
+        *_, sld_fault, breakdown = faults[k]
+        if sld_fault is not None:
             continue
-        breakdown = _first_fault(eig_faults[n + j], eig_faults[2 * n + j], match_faults[j])
         if breakdown is None:
             try:
                 breakdown = QfiBreakdown(
@@ -314,12 +315,6 @@ def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     return out
 
 
-def _value(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
                    h: float = FD_STEP_DEFAULT) -> QfiBreakdown:
     """Assemble F_C + F_P - F_M from matched eigensystem derivatives.
@@ -329,7 +324,7 @@ def qfi_components(p: SystemParams, t: float, eta: EstimandTag,
     8 sum_{i != j} eps_i eps_j / (eps_i + eps_j) |<V_i|dV_j>|^2 over pairs
     with eps_i + eps_j above the clamp. A one-point qfi_points call.
     """
-    return _value(qfi_points([(p, t)], eta, h)[0][0])
+    return _checked(qfi_points([(p, t)], eta, h)[0][0])
 
 
 def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
@@ -340,4 +335,4 @@ def qfi_sld(p: SystemParams, t: float, eta: EstimandTag,
     eps_i + eps_j above the clamp; gauge-free because only d(rho) enters.
     A one-point qfi_points call.
     """
-    return _value(qfi_points([(p, t)], eta, h)[0][1])
+    return _checked(qfi_points([(p, t)], eta, h)[0][1])

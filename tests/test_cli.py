@@ -38,10 +38,11 @@ P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
     # one propagate_many call over the grid, in chunks of at most 128 generators
     pytest.param(["evolve", "--points", "201", *REF_FLAGS], [128, 73], id="evolve"),
     pytest.param(["audit", "--points", "21", *REF_FLAGS], [21], id="audit"),
-    # the base, +h and -h states in one stack
+    # the base, +h and -h states in one stack; d_rho reports the base state's
+    # contract fault too, as qfi_sld does
     pytest.param(lambda: spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA), [3],
                  id="spectral_derivative"),
-    pytest.param(lambda: d_rho(P_REF, 2.0, EstimandTag.GAMMA), [2], id="d_rho"),
+    pytest.param(lambda: d_rho(P_REF, 2.0, EstimandTag.GAMMA), [3], id="d_rho"),
     # the same three states serve both the breakdown and the SLD value
     pytest.param(["qfi", "--param", "gamma", "--t", "2.0", *REF_FLAGS], [3], id="qfi"),
 ])

@@ -1,5 +1,7 @@
 """Fisher information breakdown against the symmetric-derivative oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from chargeqfi.qfi import (
     FD_STEP_DEFAULT,
     EstimandTag,
     QfiBreakdown,
-    _central_differences,
+    _match_branches,
     cramer_rao,
     d_rho,
     qfi_components,
@@ -23,6 +25,9 @@ from chargeqfi.spectral import spectral_decompose
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
 ALL_TAGS = (EstimandTag.GAMMA, EstimandTag.EJ, EstimandTag.EM)
+# the fields each estimand moves; the Josephson estimand moves both qubits together
+MOVED_FIELDS = {EstimandTag.GAMMA: ("gamma",), EstimandTag.EJ: ("e_j1", "e_j2"),
+                EstimandTag.EM: ("e_m",)}
 
 # correct to 1e-6 relative; regenerate with scripts/regen_goldens.py
 SLD_GOLDENS = {
@@ -32,15 +37,8 @@ SLD_GOLDENS = {
 }
 
 
-def test_estimand_shift_semantics():
-    p = P_REF
-    assert EstimandTag.GAMMA.shifted(p, 0.01).gamma == p.gamma + 0.01
-    q = EstimandTag.EJ.shifted(p, 0.01)
-    # the Josephson estimand moves both qubits together
-    assert q.e_j1 == p.e_j1 + 0.01 and q.e_j2 == p.e_j2 + 0.01
-    assert q.e_m == p.e_m
-    r = EstimandTag.EM.shifted(p, -0.02)
-    assert r.e_m == p.e_m - 0.02 and r.e_j1 == p.e_j1
+def _shifted(p, tag, delta):
+    return dataclasses.replace(p, **{name: getattr(p, name) + delta for name in MOVED_FIELDS[tag]})
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -58,8 +56,8 @@ def test_qfi_points_shift_rows_are_the_shifted_params(monkeypatch, tag):
                                   n_g2=-0.0, gamma=0.3)]
     h = 1e-3
     qfi_points([(p, 1.0) for p in params], tag, h)
-    expected = param_rows(params + [tag.shifted(p, +h) for p in params]
-                          + [tag.shifted(p, -h) for p in params])
+    expected = param_rows(params + [_shifted(p, tag, +h) for p in params]
+                          + [_shifted(p, tag, -h) for p in params])
     assert len(calls) == 1 and calls[0].tobytes() == expected.tobytes()
 
 
@@ -123,12 +121,21 @@ def test_spectral_derivative_flags_near_degenerate_base():
 
 
 def _eigensystems_at_t2(h=FD_STEP_DEFAULT):
-    """Base eigensystem and the (eigenvalues, eigenvectors) stacks of the
-    +h and -h states at P_REF, t = 2, gamma estimand."""
+    """Base eigensystem, and the eigenvalues (2, 4) and eigenvectors (2, 4, 4)
+    of the +h and -h states at P_REF, t = 2, gamma estimand."""
     base, plus, minus = (
         spectral_decompose(propagate_expm(bell_state_psi_plus(), q, 2.0))
-        for q in (P_REF, EstimandTag.GAMMA.shifted(P_REF, +h), EstimandTag.GAMMA.shifted(P_REF, -h)))
-    return base, [(s.eigenvalues[np.newaxis], s.eigenvectors[np.newaxis]) for s in (plus, minus)]
+        for q in (P_REF, _shifted(P_REF, EstimandTag.GAMMA, +h),
+                  _shifted(P_REF, EstimandTag.GAMMA, -h)))
+    return base, (np.stack([plus.eigenvalues, minus.eigenvalues]),
+                  np.stack([plus.eigenvectors, minus.eigenvectors]))
+
+
+def _matched_differences(base_vecs, sides, h=FD_STEP_DEFAULT):
+    """Central differences of the +h and -h sides matched onto base_vecs in
+    one _match_branches call, and the per-side matching faults."""
+    vals, vecs, faults = _match_branches(np.stack([base_vecs] * 2), *sides)
+    return (vals[0] - vals[1]) / (2.0 * h), (vecs[0] - vecs[1]) / (2.0 * h), faults
 
 
 def test_matching_ambiguity_raises():
@@ -137,28 +144,27 @@ def test_matching_ambiguity_raises():
     c = 1.0 / np.sqrt(2.0)
     scrambled = np.column_stack([v[:, 0], v[:, 1],
                                  c * (v[:, 2] + v[:, 3]), c * (v[:, 2] - v[:, 3])])
-    *_, faults = _central_differences(v[np.newaxis], *sides, FD_STEP_DEFAULT)
-    assert faults == [None]
-    *_, faults = _central_differences(scrambled[np.newaxis], *sides, FD_STEP_DEFAULT)
-    assert isinstance(faults[0], DegenerateDerivativeError)
-    assert "branch matching ambiguous" in str(faults[0])
+    *_, faults = _matched_differences(v, sides)
+    assert faults == [None, None]
+    *_, faults = _matched_differences(scrambled, sides)
+    for fault in faults:
+        assert isinstance(fault, DegenerateDerivativeError)
+        assert "branch matching ambiguous" in str(fault)
 
 
 def test_derivative_gauge_insensitive():
     base, sides = _eigensystems_at_t2()
     phases = np.exp(1j * np.array([0.3, -1.2, 2.5, 0.9]))
-    a_vals, a_vecs, a_faults = _central_differences(
-        base.eigenvectors[np.newaxis], *sides, FD_STEP_DEFAULT)
-    b_vals, b_vecs, b_faults = _central_differences(
-        (base.eigenvectors * phases)[np.newaxis], *sides, FD_STEP_DEFAULT)
-    assert a_faults == b_faults == [None]
+    a_vals, a_vecs, a_faults = _matched_differences(base.eigenvectors, sides)
+    b_vals, b_vecs, b_faults = _matched_differences(base.eigenvectors * phases, sides)
+    assert a_faults == b_faults == [None, None]
     # the unrotated base reproduces the public derivative bit for bit
     sd = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA)
-    assert np.array_equal(a_vals[0], sd.d_eigenvalues)
-    assert np.array_equal(a_vecs[0], sd.d_eigenvectors)
+    assert np.array_equal(a_vals, sd.d_eigenvalues)
+    assert np.array_equal(a_vecs, sd.d_eigenvectors)
     assert np.max(np.abs(a_vals - b_vals)) < 1e-10
     # eigenvector derivatives transform with the same phases
-    assert max_abs_diff(a_vecs[0] * phases, b_vecs[0]) < 1e-10
+    assert max_abs_diff(a_vecs * phases, b_vecs) < 1e-10
 
 
 def test_breakdown_reference_point():
@@ -250,3 +256,22 @@ def test_qfi_points_reports_non_finite_times():
         assert isinstance(breakdown, ValueError) and sld is breakdown
         assert str(breakdown) == f"t must be finite, got {t}"
     assert results[1][0] == qfi_components(P_REF, 1.0, EstimandTag.GAMMA)
+
+
+@pytest.mark.parametrize("p,t,h,message", [
+    (P_REF, -1.0, 1e-8, "t must be >= 0, got -1.0"),
+    (SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=5e-5), 1.0, 1e-4,
+     "gamma - h = -5.000e-05 < 0"),
+    (P_REF, 1e300, FD_STEP_DEFAULT, "state has non-finite entries"),
+], ids=["negative_t_and_step", "gamma_below_step", "overflowing_t"])
+def test_one_point_entries_fail_in_one_order(p, t, h, message):
+    """Domain (t, then the step), then the state contract: d_rho fails as
+    qfi_sld does and spectral_derivative as qfi_components does."""
+    for derivative, entry in ((d_rho, qfi_sld), (spectral_derivative, qfi_components)):
+        with pytest.raises(Exception) as expected:
+            entry(p, t, EstimandTag.GAMMA, h)
+        with pytest.raises(Exception) as got:
+            derivative(p, t, EstimandTag.GAMMA, h)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(message)
