@@ -8,7 +8,13 @@ import pytest
 from chargeqfi import qfi
 from chargeqfi.dynamics import propagate_expm
 from chargeqfi.errors import ContractViolationError, DegenerateDerivativeError
-from chargeqfi.model import SystemParams, bell_state_psi_plus, max_abs_diff, param_rows
+from chargeqfi.model import (
+    PARAM_FIELDS,
+    SystemParams,
+    bell_state_psi_plus,
+    max_abs_diff,
+    param_rows,
+)
 from chargeqfi.qfi import (
     FD_STEP_DEFAULT,
     EstimandTag,
@@ -39,6 +45,34 @@ SLD_GOLDENS = {
 
 def _shifted(p, tag, delta):
     return dataclasses.replace(p, **{name: getattr(p, name) + delta for name in MOVED_FIELDS[tag]})
+
+
+def test_estimand_shift_semantics(monkeypatch):
+    calls = []
+
+    def recording(rho0, rows, times):
+        calls.append(rows.copy())
+        return real(rho0, rows, times)
+
+    real = qfi._propagate_rows
+    monkeypatch.setattr(qfi, "_propagate_rows", recording)
+    p, h = P_REF, 1e-3
+
+    def sides(tag):
+        calls.clear()
+        d_rho(p, 1.0, tag, h)
+        (rows,) = calls
+        return [SystemParams(**dict(zip(PARAM_FIELDS, row.tolist()))) for row in rows[1:]]
+
+    up, down = sides(EstimandTag.GAMMA)
+    assert up.gamma == p.gamma + h and down.gamma == p.gamma - h
+    assert (up.e_j1, up.e_m) == (p.e_j1, p.e_m)
+    q, _ = sides(EstimandTag.EJ)
+    # the Josephson estimand moves both qubits together
+    assert q.e_j1 == p.e_j1 + h and q.e_j2 == p.e_j2 + h
+    assert q.e_m == p.e_m and q.gamma == p.gamma
+    _, r = sides(EstimandTag.EM)
+    assert r.e_m == p.e_m - h and r.e_j1 == p.e_j1 and r.gamma == p.gamma
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
