@@ -24,6 +24,8 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
 - all 12 figure presets at 201 points;
 - gamma (from 0, with its error row), ej, em and time sweeps (the last
   also to 1e300) off degeneracy, CSV and JSON, for each estimand;
+- one sweep from a --config JSON file (model parameters, an em axis and JSON
+  output from the file, --points from a flag);
 - the rebuilt docs/closed_form_audit.json;
 - d_rho and spectral_derivative (array bytes, dtypes, near_degenerate_pairs,
   or the exception class and text) for 3 estimands x t in {0, 1e-6, 1, 2,
@@ -41,6 +43,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -135,6 +138,12 @@ def collect(checkout: Path, tmp: Path) -> list:
                 outputs.append(run_cli(cli, ["sweep", *OFF_FLAGS, "--param", eta, "--axis", axis,
                                              "--axis-start", start, "--axis-end", end,
                                              "--points", "21", "--format", fmt]))
+    config = tmp / "sweep_config.json"
+    config.write_text(json.dumps({"estimand": "ej", "axis": "em", "axis_start": 0.05,
+                                  "axis_end": 0.3, "points": 5, "t": 2.5, "fd_step": 1e-4,
+                                  "output_format": "json", "e": 0.2, "gamma": 0.3,
+                                  "ng1": 0.45, "ng2": 0.55}), encoding="utf-8")
+    outputs.append(run_cli(cli, ["sweep", "--config", str(config), "--points", "21"]))
     for figure_id in sorted(sweeps.FIGURES):
         out_dir = tmp / figure_id
         outputs.append(run_cli(cli, ["figure", figure_id, "--points", "201",

@@ -122,14 +122,12 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--t", type=float, default=None)
     sweep.add_argument("--fd-step", type=float, default=None)
     sweep.add_argument("--format", choices=["csv", "json"], default=None)
-    sweep.add_argument("--parallelism", type=int, default=None)
     sweep.add_argument("--out", type=str, default=None)
 
     figure = subs.add_parser("figure", help="run a bundled figure preset")
     figure.add_argument("figure_id", choices=sorted(FIGURES))
     figure.add_argument("--points", type=int, default=201)
     figure.add_argument("--fd-step", type=float, default=FD_STEP_DEFAULT)
-    figure.add_argument("--parallelism", type=int, default=None)
     figure.add_argument("--out", type=str, default=".", help="output directory")
 
     audit = subs.add_parser("audit", help="compare the closed-form rho(t) to the propagator")
@@ -204,7 +202,7 @@ def _cmd_qfi(args) -> int:
 
 _CONFIG_KEYS = {"gamma", "ej", "em", "e", "ec1", "ec2", "ng1", "ng2", "estimand",
                 "axis", "axis_start", "axis_end", "points", "t", "fd_step",
-                "output_format", "parallelism"}
+                "output_format"}
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -242,7 +240,6 @@ def _sweep_config(args) -> SweepConfig:
             t=pick(args.t, "t", 1.0),
             fd_step=pick(args.fd_step, "fd_step", FD_STEP_DEFAULT),
             output_format=pick(args.format, "output_format", "csv"),
-            parallelism=pick(args.parallelism, "parallelism", None),
         )
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -260,8 +257,7 @@ def _cmd_figure(args) -> int:
     # a sweep reports per-point failures as error rows, so a ValueError here
     # is a rejected option; nothing is written before the options pass
     try:
-        dataset = figure_dataset(args.figure_id, points=args.points,
-                                 parallelism=args.parallelism, fd_step=args.fd_step)
+        dataset = figure_dataset(args.figure_id, points=args.points, fd_step=args.fd_step)
     except ValueError as exc:
         raise _UsageError(str(exc))
     out_dir = Path(args.out)

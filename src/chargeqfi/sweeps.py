@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from . import __version__
 
 AXES = ("time", "gamma", "ej", "em")
 FORMATS = ("csv", "json")
-THREADS_ENV_VAR = "QFI_DEPHASE_THREADS"
 CSV_HEADER = "axis,f_total,f_c,f_p,f_m,crb"
 # relative floor used when comparing the two Fisher-information routes
 ORACLE_REL_FLOOR = 1e-6
@@ -54,7 +52,9 @@ class SweepConfig:
     axis selects what varies: "time" sweeps t, the parameter axes sweep the
     named energy/rate at fixed evaluation time t. points is an int;
     axis_start, axis_end, t and fd_step are real numbers (bool and str are
-    rejected), and the first three are finite.
+    rejected), and the first three are finite. parallelism is None or an
+    integer >= 1; it is validated and echoed in JSON output, and changes no
+    result.
     """
 
     params: SystemParams
@@ -88,7 +88,9 @@ class SweepConfig:
         check_fd_step(self.fd_step)
         if self.output_format not in FORMATS:
             raise ValueError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
-        resolve_parallelism(self.parallelism)
+        par = self.parallelism
+        if par is not None and (isinstance(par, bool) or not isinstance(par, int) or par < 1):
+            raise ValueError(f"parallelism must be an integer >= 1, got {par!r}")
         if self.axis != "time":
             check_time(self.t)
 
@@ -108,26 +110,6 @@ class SweepResult:
     config: SweepConfig
     rows: tuple
     provenance: dict
-
-
-def resolve_parallelism(requested: int | None) -> int:
-    """Validated worker count: the argument, else QFI_DEPHASE_THREADS, else 1.
-
-    Sweeps run as one batch in the calling thread, so the count changes
-    nothing; it is still resolved so that a bad value is reported. ValueError
-    unless the count is an integer >= 1 (True and False are not counts).
-    """
-    if requested is not None:
-        name, value = "parallelism", requested
-    else:
-        name, value = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or 1
-    try:
-        count = 0 if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

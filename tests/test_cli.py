@@ -124,10 +124,24 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
 
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"estimand": "em", "bogus": 1}), encoding="utf-8")
-    code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert "bogus" in err
+    for key in ("bogus", "parallelism"):
+        cfg.write_text(json.dumps({"estimand": "em", key: 1}), encoding="utf-8")
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: unknown config keys: [{key!r}]\n"
+
+
+def test_sweep_config_read_failures(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(["sweep", "--config", str(missing)], capsys)
+    assert code == 1 and out == "" and err.startswith(f"error: cannot read config {missing}: ")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad", encoding="utf-8")
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 1 and out == "" and err.startswith(f"error: cannot read config {cfg}: ")
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 1 and out == "" and err == "error: config file must hold a flat JSON object\n"
 
 
 def test_sweep_requires_estimand(capsys):
@@ -185,31 +199,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         cfg.write_text(json.dumps({"estimand": "gamma", **entry}))
         code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1 and err.startswith(f"error: {next(iter(entry))} must be")
-    # JSON true/false are neither parameter values nor worker counts
+    # JSON true/false are not parameter values
     sweep = {"estimand": "gamma", "points": 3, "axis_start": 0.5, "axis_end": 1}
-    for entry, name in (({"gamma": True, "parallelism": True}, "gamma"),
-                        ({"ej": False}, "e_j1"), ({"parallelism": True}, "parallelism")):
+    for entry, name in (({"gamma": True}, "gamma"), ({"ej": False}, "e_j1")):
         cfg.write_text(json.dumps({**sweep, **entry}))
         code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1 and out == "" and err.startswith(f"error: {name} must be")
 
 
-@pytest.mark.parametrize("env,flags,name", [
-    ("0", [], "QFI_DEPHASE_THREADS"),
-    ("abc", [], "QFI_DEPHASE_THREADS"),
-    (None, ["--parallelism", "0"], "parallelism"),
-])
-def test_bad_parallelism_is_a_usage_error(tmp_path, monkeypatch, capsys, env, flags, name):
-    if env is None:
-        monkeypatch.delenv("QFI_DEPHASE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("QFI_DEPHASE_THREADS", env)
-    code, _, err = run_cli(["sweep", "--param", "gamma", "--points", "3", "--axis-start", "0.1",
-                            "--axis-end", "1", *flags], capsys)
-    assert code == 1 and name in err
+def test_parallelism_is_not_an_option(tmp_path, capsys):
+    # sweeps run serially, so no command takes a worker count
+    code, out, err = run_cli(["sweep", "--param", "gamma", "--parallelism", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --parallelism 2\n"
     out_dir = tmp_path / "figures"
-    code, _, err = run_cli(["figure", "fig1a", "--out", str(out_dir), *flags], capsys)
-    assert code == 1 and name in err
+    code, out, err = run_cli(["figure", "fig1a", "--parallelism", "2", "--out", str(out_dir)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --parallelism 2\n"
     assert not out_dir.exists()
 
 
@@ -219,6 +226,12 @@ def test_numerical_failures_exit_2(capsys):
     code, _, err = run_cli(["qfi", "--param", "gamma", "--gamma", "0.00005"], capsys)
     assert code == 2
     assert "numerical contract failure" in err
+    # expm(L t) overflows long before t = 1e300: the state contract fails
+    # and nothing is written
+    for command in ("evolve", "audit"):
+        code, out, err = run_cli([command, "--t-max", "1e300", "--points", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "numerical contract failure: state has non-finite entries\n"
 
 
 def test_help_exits_zero(capsys):

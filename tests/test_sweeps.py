@@ -20,7 +20,6 @@ from chargeqfi.sweeps import (
     SweepConfig,
     figure_dataset,
     format_float,
-    resolve_parallelism,
     run_sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -134,11 +133,12 @@ def test_sweep_config_validation():
         small_time_sweep(axis_start=2.0, axis_end=2.0)
     with pytest.raises(ValueError):
         small_time_sweep(points=1)
-    with pytest.raises(ValueError):
-        small_time_sweep(parallelism=0)
-    for flag in (True, False):
-        with pytest.raises(ValueError, match="^parallelism must be an integer"):
-            small_time_sweep(parallelism=flag)
+    # a worker count is None or an int >= 1, never a bool, float or str
+    for bad in (0, True, False, 2.5, "3", 1.0):
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1"):
+            small_time_sweep(parallelism=bad)
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1"):
+            figure_dataset("fig1a", points=FIGURE_MIN_POINTS, parallelism=bad)
     with pytest.raises(ValueError):
         small_time_sweep(fd_step=1.0)
     with pytest.raises(ValueError):
@@ -166,18 +166,6 @@ def test_sweep_config_validation():
     small_time_sweep(t=-1.0)
     with pytest.raises(ValueError):
         small_time_sweep(axis="gamma", axis_start=0.1, axis_end=0.4, t=-1.0)
-
-
-def test_resolve_parallelism_env(monkeypatch):
-    monkeypatch.delenv("QFI_DEPHASE_THREADS", raising=False)
-    assert resolve_parallelism(3) == 3
-    assert resolve_parallelism(None) == 1
-    monkeypatch.setenv("QFI_DEPHASE_THREADS", "6")
-    assert resolve_parallelism(None) == 6
-    assert resolve_parallelism(2) == 2
-    monkeypatch.setenv("QFI_DEPHASE_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_parallelism(None)
 
 
 def test_figure_preset_table():
@@ -288,6 +276,31 @@ def test_batch_matching_failures_keep_scalar_messages(monkeypatch):
         assert isinstance(breakdown, DegenerateDerivativeError)
         assert str(breakdown) == row.error
         assert sld == before.sld
+
+
+def test_batch_breakdown_floor_fails_one_point(monkeypatch):
+    cfg = small_time_sweep(params=P_OFF, axis_start=0.5, axis_end=3.0, points=3)
+    unpatched = sweep_to_csv(run_sweep(cfg)).split("\n")
+    real_sums = qfi._breakdown_sums
+
+    def negative_middle_f_c(*args):
+        f_c, *rest = real_sums(*args)
+        f_c = f_c.copy()
+        f_c[1] = -1e-9
+        return (f_c, *rest)
+
+    monkeypatch.setattr(qfi, "_breakdown_sums", negative_middle_f_c)
+    batch = qfi.qfi_points([(P_OFF, t) for t in (0.5, 1.75, 3.0)], EstimandTag.GAMMA)
+    breakdown, sld = batch[1]
+    assert isinstance(breakdown, ContractViolationError)
+    # the SLD route has no floor of its own, so it keeps a finite value
+    assert isinstance(sld, float) and np.isfinite(sld)
+    res = run_sweep(cfg)
+    assert [row.error for row in res.rows] == [
+        None, "f_c = -1.000e-09 is negative beyond roundoff", None]
+    lines = sweep_to_csv(res).split("\n")
+    assert lines[2] != unpatched[2]
+    assert lines[:2] + lines[3:] == unpatched[:2] + unpatched[3:]
 
 
 def test_overflowing_fields_fail_typed_without_warnings():
