@@ -1,10 +1,15 @@
 """Dephasing dynamics: master-equation right-hand side, two independent
 propagators, and an audited closed-form solution.
 
+The right-hand side is -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho
+- rho Zj Zj). Z1 and Z2 are diagonal, so the dephasing sum is applied
+entrywise: rho times a constant 4x4 mask with entries 0, -4 and -8.
+
 The authoritative propagator is the matrix exponential of the Liouvillian
 (scaling-and-squaring), applied to batches of states by propagate_many. An
 adaptive Runge-Kutta integration of the right-hand side is an independent
-cross-check. Both routes check each time once (check_time) and each output
+cross-check; it builds H once per integration and never touches the 16x16
+generator. Both routes check each time once (check_time) and each output
 state once against the single state contract (model.state_faults, which
 DensityMatrix applies); neither has a check of its own. The closed-form
 rho(t) at the degeneracy point is kept exactly as derived even though its
@@ -46,8 +51,10 @@ EXPM_CHUNK = 128
 EYE4 = np.eye(4, dtype=complex)
 # (256, 2) masks of the entries below (row > column) and above the diagonal of a flat 16x16
 _OFF_DIAGONAL_HALVES = np.sign(np.arange(16)[:, None] - np.arange(16)).reshape(256, 1) == [1, -1]
-# (Zj, 2 Zj, Zj Zj) per qubit, the constant factors of the dephasing terms in lindblad_rhs
-_RHS_DEPHASING = tuple((sz, 2.0 * sz, sz @ sz) for sz in (Z1, Z2))
+# sum_j (2 z_a z_b - z_a^2 - z_b^2) over the diagonals z of Z1 and Z2; rho times it,
+# entrywise, is sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj)
+_RHS_DEPHASING_MASK = sum(2.0 * np.outer(z, z) - z[:, np.newaxis] ** 2 - z[np.newaxis, :] ** 2
+                          for z in (np.diag(Z1).real, np.diag(Z2).real))
 # vectorized dephasing term of each qubit, 2 Zj^T (x) Zj - I (x) Zj^2 - (Zj^2)^T (x) I
 _LIOUVILLIAN_DEPHASING = tuple(2.0 * np.kron(sz.T, sz) - np.kron(EYE4, sz @ sz)
                                - np.kron((sz @ sz).T, EYE4) for sz in (Z1, Z2))
@@ -68,13 +75,21 @@ def check_tol(tol: float) -> None:
 
 
 def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
-    """d(rho)/dt = -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj)."""
-    r = as_matrix(rho)
-    h = build_hamiltonian(p)
-    out = -1j * (h @ r - r @ h)
-    for sz, two_sz, sz_sq in _RHS_DEPHASING:
-        out = out + (p.gamma / 8.0) * (two_sz @ r @ sz - sz_sq @ r - r @ sz @ sz)
-    return out
+    """d(rho)/dt = -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj).
+
+    Zj is diagonal, so the dephasing sum is applied entrywise, as rho times a
+    constant mask.
+    """
+    return _rhs(as_matrix(rho), *_rhs_constants(p))
+
+
+def _rhs_constants(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """H and the entrywise dephasing factors (gamma/8) * mask of lindblad_rhs."""
+    return build_hamiltonian(p), (p.gamma / 8.0) * _RHS_DEPHASING_MASK
+
+
+def _rhs(r: np.ndarray, h: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    return -1j * (h @ r - r @ h) + damping * r
 
 
 def _vec(mat: np.ndarray) -> np.ndarray:
@@ -202,8 +217,9 @@ def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> Dens
     """Propagate rho0 to time t by adaptive Runge-Kutta on lindblad_rhs.
 
     Independent of the exponential route: integrates the right-hand side
-    directly, never touching the 16x16 generator. rel_tol must lie in
-    [1e-12, 1e-4]; the absolute floor is 1e-12.
+    directly, never touching the 16x16 generator. H and the dephasing
+    factors are built once per integration, not once per right-hand-side
+    call. rel_tol must lie in [1e-12, 1e-4]; the absolute floor is 1e-12.
     """
     if not (1e-12 <= rel_tol <= 1e-4):
         raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol}")
@@ -215,11 +231,14 @@ def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> Dens
     # only this route needs it
     from scipy.integrate import solve_ivp
 
-    def rhs(_t, y):
-        return lindblad_rhs(y.reshape((4, 4)), p).reshape(16)
+    h, damping = _rhs_constants(p)
 
+    def rhs(_t, y):
+        return _rhs(y.reshape((4, 4)), h, damping).reshape(16)
+
+    # no t_eval: the last step ends at t, and dense output would cost 3 more calls
     sol = solve_ivp(rhs, (0.0, t), r0.reshape(16), method="DOP853",
-                    rtol=rel_tol, atol=1e-12, t_eval=[t])
+                    rtol=rel_tol, atol=1e-12)
     if not sol.success:
         raise IntegrationError(f"adaptive integration failed: {sol.message}")
     return DensityMatrix(sol.y[:, -1].reshape((4, 4)))

@@ -367,11 +367,38 @@ def test_rk_route_never_builds_the_generator(monkeypatch):
         raise AssertionError("the generator was built")
 
     oracle = propagate_expm(BELL, P_OFF, 1.0).mat
-    monkeypatch.setattr(dynamics, "liouvillian_stack", no_generator)
+    for name in ("liouvillian_stack", "expm_states", "expm"):  # the whole exponential route
+        monkeypatch.setattr(dynamics, name, no_generator)
     with pytest.raises(AssertionError, match="generator was built"):
         propagate_expm(BELL, P_OFF, 1.0)
     assert lindblad_rhs(BELL, P_OFF).shape == (4, 4)
     assert max_abs_diff(propagate_rk(BELL, P_OFF, 1.0).mat, oracle) < 1e-7
+
+
+def test_rhs_dephasing_is_the_operator_form():
+    # the dissipator written out with the Zj as operators, as in the module docstring
+    h = build_hamiltonian(P_OFF)
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        operator_form = sum((P_OFF.gamma / 8.0) * (2.0 * sz @ rho @ sz - sz @ sz @ rho - rho @ sz @ sz)
+                            for sz in (model.Z1, model.Z2))
+        dephasing = lindblad_rhs(rho, P_OFF) - (-1j * (h @ rho - rho @ h))
+        assert max_abs_diff(dephasing, operator_form) < 1e-14
+
+
+def test_rk_builds_the_hamiltonian_once_per_integration(monkeypatch):
+    builds = []
+
+    def counting(p):
+        builds.append(p)
+        return build_hamiltonian(p)
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", counting)
+    for t in (0.5, 2.0):
+        builds.clear()
+        propagate_rk(BELL, P_OFF, t)
+        assert builds == [P_OFF]
 
 
 def test_analytic_state_matrix_structure():
