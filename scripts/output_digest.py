@@ -34,6 +34,10 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   parameter sets that interleave off-degenerate and degenerate ones, so that
   a set recurs within and across expm chunks (sweeps and presets only hold
   contiguous blocks of equal sets).
+- spectral_decompose (eigenvalue, eigenvector and clamped bytes and
+  n_clamped, or the exception class and text) of the Bell state, an evolved
+  state, eye(4)/4, and of four matrices that are not states: a non-finite,
+  a non-Hermitian, a negative-eigenvalue and a trace-2 one.
 
 Every CLI call records its argv, exit code, stdout and stderr. Files go to a
 temporary directory that is removed afterwards; no tracked file is written.
@@ -50,6 +54,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 DEFAULT_FLAGS = []
 OFF_FLAGS = ["--ng1", "0.45", "--ng2", "0.55", "--ej", "0.2", "--em", "0.15", "--gamma", "0.3"]
 ESTIMANDS = ("gamma", "ej", "em")
@@ -63,11 +69,11 @@ SWEEP_AXES = (("gamma", "0", "0.6"), ("ej", "0.05", "0.3"), ("em", "0.05", "0.3"
 def import_checkout(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
     import chargeqfi
-    from chargeqfi import cli, dynamics, model, qfi, sweeps
+    from chargeqfi import cli, dynamics, model, qfi, spectral, sweeps
 
     if Path(chargeqfi.__file__).resolve().parents[2] != checkout:
         sys.exit(f"chargeqfi was imported from {chargeqfi.__file__}, not from {checkout}")
-    return cli, dynamics, model, qfi, sweeps
+    return cli, dynamics, model, qfi, spectral, sweeps
 
 
 def run_cli(cli, argv) -> bytes:
@@ -118,8 +124,33 @@ def interleaved_states(dynamics, model) -> bytes:
     return f"{mats.dtype} {mats.shape} {[str(f) for f in faults]}".encode() + mats.tobytes()
 
 
+def decomposition_bytes(dynamics, model, spectral) -> list:
+    """spectral_decompose of three states and of four matrices that are not states."""
+    bell = model.as_matrix(model.bell_state_psi_plus())
+    p = model.SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
+    evolved = dynamics.propagate_expm(bell, p, 2.0)
+    non_finite, non_hermitian = bell.copy(), bell.copy()
+    non_finite[0, 0] = float("nan")
+    non_hermitian[0, 1] = 0.1
+    inputs = {"bell": bell, "evolved": evolved.mat, "mixed": np.eye(4) / 4,
+              "non-finite": non_finite, "non-hermitian": non_hermitian,
+              "negative": np.diag([0.6, 0.5, 0.0, -0.1]), "trace-2": 2.0 * bell}
+    outputs = []
+    for name, mat in inputs.items():
+        try:
+            dec = spectral.spectral_decompose(mat)
+        except Exception as exc:  # the class and text are the output
+            body = f"{type(exc).__name__}: {exc}".encode()
+        else:
+            body = b"".join(f"{a.dtype} {a.shape}".encode() + a.tobytes()
+                            for a in (dec.eigenvalues, dec.eigenvectors, dec.clamped))
+            body += f" {dec.n_clamped}".encode()
+        outputs.append(f"spectral_decompose {name}\n".encode() + body)
+    return outputs
+
+
 def collect(checkout: Path, tmp: Path) -> list:
-    cli, dynamics, model, qfi, sweeps = import_checkout(checkout)
+    cli, dynamics, model, qfi, spectral, sweeps = import_checkout(checkout)
     outputs = []
     for flags in (DEFAULT_FLAGS, OFF_FLAGS):
         points = ["--points", "300"] if flags else []
@@ -154,6 +185,7 @@ def collect(checkout: Path, tmp: Path) -> list:
     runpy.run_path(str(checkout / "scripts" / "write_audit_artifact.py"))["main"]([str(artifact)])
     outputs.append(artifact.read_bytes())
     outputs.append(interleaved_states(dynamics, model))
+    outputs.extend(decomposition_bytes(dynamics, model, spectral))
     return outputs
 
 

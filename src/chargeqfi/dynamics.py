@@ -41,8 +41,8 @@ from .model import (
     build_hamiltonian,
     hamiltonian_stack,
     param_rows,
-    state_faults,
     _readonly,
+    _state_contract,
 )
 
 # generators exponentiated per expm call in propagate_many
@@ -168,15 +168,14 @@ def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
     states and, per state, its state_faults entry: the ContractViolationError
     that propagate_expm raises for it, or None. Times are not checked here.
     """
-    return _propagate_rows(rho0, param_rows(params), times)
+    return _propagate_rows(rho0, param_rows(params), times)[:2]
 
 
-def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple[np.ndarray, list]:
-    """propagate_many over the param_rows of valid SystemParams."""
-    if not len(rows):
-        return np.empty((0, 4, 4), dtype=complex), []
+def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple:
+    """propagate_many over the param_rows of valid SystemParams, plus the state
+    contract's eigh: (states, faults, (solved, vals, vecs)), see _state_contract."""
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
-    chunks = []
+    chunks = [np.empty((0, 4, 4), dtype=complex)]
     # in chunks, so that the generator stacks held at once do not grow with len(rows)
     for s in range(0, len(rows), EXPM_CHUNK):
         distinct = {}  # distinct rows by first appearance; -0.0 == 0.0, as in SystemParams
@@ -187,7 +186,7 @@ def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple[np.ndarray, list]:
             generators = liouvillian_stack(np.array(list(distinct)))[inverse] * times[s:s + EXPM_CHUNK]
         chunks.append(expm_states(rho0, generators))
     mats = np.concatenate(chunks)
-    return mats, state_faults(mats)
+    return (mats, *_state_contract(mats))
 
 
 def propagate_checked(rho0, params, times) -> np.ndarray:
@@ -220,6 +219,12 @@ def propagate_rk(rho0, p: SystemParams, t: float, rel_tol: float = 1e-9) -> Dens
     directly, never touching the 16x16 generator. H and the dephasing
     factors are built once per integration, not once per right-hand-side
     call. rel_tol must lie in [1e-12, 1e-4]; the absolute floor is 1e-12.
+
+    The step count, and so the cost, grows about linearly with t at large t:
+    at ng 0.45/0.55, ej 0.2/0.3, em 0.15, gamma 0.3 one call takes 16-29 ms at
+    t = 100, 38-64 ms at t = 1e3 and 0.35-0.41 s at t = 1e4 (2-core Xeon, BLAS
+    1 thread). t is bounded only by check_time, so a call at t = 1e300 never
+    returns; propagate_expm answers any finite t at once.
     """
     if not (1e-12 <= rel_tol <= 1e-4):
         raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {rel_tol}")

@@ -126,24 +126,27 @@ def hamiltonian_stack(rows: np.ndarray) -> np.ndarray:
 
 def state_faults(mats: np.ndarray) -> list:
     """The density-matrix contract over an (n, 4, 4) stack; the only place
-    that decides whether a matrix is a valid state.
+    that decides whether a matrix is a valid state. Entry k is the
+    ContractViolationError that DensityMatrix(mats[k]) raises, or None."""
+    return _state_contract(mats)[0]
 
-    Entry k is the ContractViolationError that DensityMatrix(mats[k]) raises,
-    or None. Checks run in the order finiteness, Hermiticity (1e-10), trace
-    (1e-9), positivity (-1e-9); the eigenvalues are only taken of matrices
-    that pass the first three.
+
+def _state_contract(mats: np.ndarray) -> tuple:
+    """state_faults, and the one eigh of the stack, which the decomposition reads too.
+
+    Checks run in the order finiteness, Hermiticity (1e-10), trace (1e-9),
+    positivity (-1e-9). Returns (faults, (solved, vals, vecs)): solved is mats
+    with each matrix that fails one of the first three replaced by eye(4)/4,
+    and vals (ascending), vecs are np.linalg.eigh of solved.
     """
     finite = np.isfinite(mats).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
         herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         tr_dev = np.abs(mats.diagonal(axis1=-2, axis2=-1).sum(axis=-1) - 1.0)
     checked = finite & (herm <= HERMITICITY_ATOL) & (tr_dev <= TRACE_ATOL)
-    if checked.all():
-        lowest = _lowest_eigenvalues(mats)
-    else:
-        lowest = np.full(len(mats), np.inf)
-        if checked.any():
-            lowest[checked] = _lowest_eigenvalues(mats[checked])
+    solved = np.where(checked[:, np.newaxis, np.newaxis], mats, np.eye(4) / 4)
+    vals, vecs = np.linalg.eigh(solved)
+    lowest = vals[:, 0]
     faults = [None] * len(mats)
     for k in np.flatnonzero(~checked | (lowest < EIGENVALUE_FLOOR)):
         if not finite[k]:
@@ -155,11 +158,7 @@ def state_faults(mats: np.ndarray) -> list:
         else:
             msg = f"negative eigenvalue {lowest[k]:.3e} below floor {EIGENVALUE_FLOOR:.0e}"
         faults[k] = ContractViolationError(msg)
-    return faults
-
-
-def _lowest_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (mats + mats.conj().swapaxes(-1, -2))).min(axis=-1)
+    return faults, (solved, vals, vecs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ reads both routes from it over a batch of points, d_rho and
 spectral_derivative over one; qfi_components and qfi_sld are one-point
 qfi_points calls. A point reports its first failure in the order: domain
 (t, then the step) -> state contract of the base, +h and -h states -> base
-eigensystem -> shifted eigensystems -> branch matching -> breakdown floors.
+eigen residual -> shifted eigen residuals -> branch matching -> breakdown floors.
 d_rho stops after the second, the SLD value after the third and
 spectral_derivative after the fifth.
 """
@@ -139,11 +139,12 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
 
     Returns (ks, faults, base, derivatives). faults[k] is point k's first
     fault (or None) up to each stage: domain; state contract of the base, +h
-    and -h states; base eigensystem; shifted eigensystems and matching. The
-    arrays run over the points in domain, ks: base is (eigenvalues,
+    and -h states; base eigen residual; shifted eigen residuals and matching.
+    The arrays run over the points in domain, ks: base is (eigenvalues,
     eigenvectors, clamped, n_clamped) of the base states, derivatives is
-    (d_eigenvalues, d_eigenvectors, d_rho). One row-level propagate_many,
-    one batched eigh and one matching call serve all points and sides.
+    (d_eigenvalues, d_eigenvectors, d_rho). One row-level propagate_many, whose
+    state contract takes the one batched eigh, and one matching call serve all
+    points and sides.
     """
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
@@ -162,12 +163,11 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     cols = [PARAM_FIELDS.index(name) for name in eta.fields]
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    states, state_faults = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
-    # a point with a faulty state fails before any eigen result of it is read;
-    # a stand-in keeps that state (non-finite, or finite but huge) out of the
-    # sums, where it would raise overflow and invalid-value warnings
-    states[[fault is not None for fault in state_faults]] = np.eye(4) / 4
-    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(states)
+    _, state_faults, eigh = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
+    # a point with a faulty state fails before any eigen result of it is read; the
+    # contract's stand-in keeps a non-finite or huge state out of the sums' warnings
+    states = eigh[0]
+    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(*eigh)
     side_vals, side_vecs, match_faults = _match_branches(np.tile(vecs[:n], (2, 1, 1)),
                                                          vals[n:], vecs[n:])
     # The one central difference, of the matched eigensystems and of rho. It
@@ -297,7 +297,7 @@ def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     f_c, f_p, f_m, gauge = _breakdown_sums(clamped, vecs, d_vals, d_vecs)
     f_total = f_c + f_p - f_m
     sld = _sld_sums(clamped, vecs, drho)
-    # the SLD value fails only up to the base eigensystem
+    # the SLD value fails only up to the base eigen residual
     out = [(fault[2], fault[2]) for fault in faults]
     for j, k in enumerate(ks):
         *_, sld_fault, breakdown = faults[k]

@@ -5,6 +5,8 @@ Gauge convention: eigenvalues sorted descending; each eigenvector is scaled
 by a unit phase so that its largest-magnitude entry is real and
 non-negative (bit-exact magnitude ties resolved toward the lowest index).
 Identical input bits therefore produce identical output bits.
+The eigensystem is the state contract's one eigh (model._state_contract):
+each state is eigen-solved once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import EIGENVALUE_FLOOR, SystemParams, as_matrix, _readonly
+from .model import SystemParams, as_matrix, _readonly, _state_contract
 from .dynamics import analytic_coefficients, analytic_state_matrix
 
 # eigenvalues below this floor count as exactly zero in Fisher-information sums
@@ -53,43 +55,31 @@ def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose_many(rhos: np.ndarray) -> tuple:
-    """Array form of spectral_decompose over an (n, 4, 4) stack.
+def decompose_many(rhos: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple:
+    """spectral_decompose over the eigh (rhos, vals, vecs) of model._state_contract.
 
-    One batched eigh. Returns (eigenvalues, eigenvectors, clamped, n_clamped,
-    faults), the first four stacked along the leading axis; faults[k] is the
-    ContractViolationError spectral_decompose raises for rhos[k], or None.
-    Finiteness is checked first (a non-finite matrix is solved as the
-    maximally mixed stand-in, whose eigensystem is then meaningless), then
-    the eigenvalue floor, then the eigen residual.
+    Orders descending, fixes the gauge, checks the eigen residual and clamps.
+    Returns (eigenvalues, eigenvectors, clamped, n_clamped, faults), the first
+    four stacked; faults[k] is rhos[k]'s residual ContractViolationError, or None.
     """
-    finite = np.isfinite(rhos).all(axis=(-2, -1))
-    if not finite.all():
-        rhos = np.where(finite[:, np.newaxis, np.newaxis], rhos, np.eye(4) / 4)
-    vals, vecs = np.linalg.eigh(rhos)
     vals = vals[..., ::-1]
     vecs = _fix_gauge(vecs[..., ::-1])
     residual = np.abs(rhos @ vecs - vecs * vals[..., np.newaxis, :]).max(axis=(-2, -1))
-    lowest = vals.min(axis=-1)
     faults = [None] * len(rhos)
-    for k in np.flatnonzero(~finite | (lowest < EIGENVALUE_FLOOR) | (residual > RESIDUAL_ATOL)):
-        if not finite[k]:
-            faults[k] = ContractViolationError("cannot decompose a matrix with non-finite entries")
-        elif lowest[k] < EIGENVALUE_FLOOR:
-            faults[k] = ContractViolationError(
-                f"eigenvalue {lowest[k]:.3e} below the state floor {EIGENVALUE_FLOOR:.0e}")
-        else:
-            faults[k] = ContractViolationError(
-                f"eigen residual {residual[k]:.3e} exceeds {RESIDUAL_ATOL:.0e}")
+    for k in np.flatnonzero(residual > RESIDUAL_ATOL):
+        faults[k] = ContractViolationError(
+            f"eigen residual {residual[k]:.3e} exceeds {RESIDUAL_ATOL:.0e}")
     below = vals < EIGENVALUE_CLAMP
     return vals, vecs, np.where(below, 0.0, vals), below.sum(axis=-1), faults
 
 
 def spectral_decompose(rho) -> SpectralDecomposition:
-    """Descending, gauge-fixed eigensystem of a Hermitian state."""
-    vals, vecs, clamped, n_clamped, faults = decompose_many(as_matrix(rho)[np.newaxis])
-    if faults[0] is not None:
-        raise faults[0]
+    """Descending, gauge-fixed eigensystem of a state; a matrix that is not a
+    state raises the state contract's ContractViolationError (state_faults)."""
+    (fault,), eigh = _state_contract(as_matrix(rho)[np.newaxis])
+    vals, vecs, clamped, n_clamped, (residual_fault,) = decompose_many(*eigh)
+    if fault or residual_fault:
+        raise fault or residual_fault
     return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,
                                  eigenvectors=_readonly(vecs[0]),
                                  clamped=_readonly(clamped[0]).real,

@@ -5,8 +5,8 @@ one call of qfi._qfi_rows, the row form of qfi_points, which reads both QFI
 routes from the derivative core qfi._derivative_rows. A point whose axis
 value is not a valid parameter, or whose evaluation fails, becomes an error
 row carrying the message of its first failure, in the order: domain (t,
-step) -> state contract of the base, +h and -h states -> base eigensystem
--> shifted eigensystems -> branch matching -> breakdown floors. Every row is
+step) -> state contract of the base, +h and -h states -> base eigen residual
+-> shifted eigen residuals -> branch matching -> breakdown floors. Every row is
 a pure function of the configuration and floats are formatted to 17
 significant digits, so output bytes do not depend on the (accepted, no
 longer used) parallelism setting.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from chargeqfi.dynamics import (
 from chargeqfi import dynamics, model
 from chargeqfi.errors import ContractViolationError
 from chargeqfi.model import (
+    DensityMatrix,
     SystemParams,
     as_matrix,
     bell_state_psi_plus,
@@ -198,6 +200,28 @@ def test_check_time_rejects_non_finite_times():
 def test_propagated_states_meet_the_state_contract_alone(entry, dev, fault):
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho0[entry] += dev
+    _assert_contract_alone(rho0, fault)
+
+
+@pytest.mark.parametrize("lowest,offset,fault", [
+    # unit-trace diagonal states on both sides of the -1e-9 floor; positivity reads the raw
+    # eigh, which sees the lower-triangle offset, so a 5e-11 Hermiticity offset must not move
+    # the verdict
+    (-1.1e-9, 0.0, "negative eigenvalue -1.100e-09 below floor -1e-09"), (-0.9e-9, 0.0, None),
+    (-1.1e-9, 5e-11, "negative eigenvalue -1.100e-09 below floor -1e-09"), (-0.9e-9, 5e-11, None),
+])
+def test_propagated_states_meet_the_positivity_floor_alone(lowest, offset, fault):
+    rho0 = np.diag([0.4, 0.3, 0.3 - lowest, lowest]).astype(complex)
+    rho0[3, 0] += offset
+    _assert_contract_alone(rho0, fault)
+    if fault is None:
+        DensityMatrix(rho0)
+    else:
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(fault)}$"):
+            DensityMatrix(rho0)
+
+
+def _assert_contract_alone(rho0, fault):
     # expm(L 0) is exactly the identity, so rho0 comes back unchanged
     mats, faults = propagate_many(rho0, [P_REF], [0.0])
     assert np.array_equal(mats[0], rho0)

@@ -95,6 +95,29 @@ def test_qfi_points_shift_rows_are_the_shifted_params(monkeypatch, tag):
     assert len(calls) == 1 and calls[0].tobytes() == expected.tobytes()
 
 
+def test_qfi_points_eigen_solves_each_state_once(monkeypatch):
+    # the state contract's eigh is the decomposition's: one batched solve over
+    # the base, +h and -h states of 5 points, plus at most the Bell state's own
+    # 1-matrix check, and no eigvalsh at all
+    eigh_shapes, eigvalsh_shapes = [], []
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_shapes.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    out = qfi_points([(P_REF, t) for t in (0.5, 1.0, 2.0, 3.5, 5.0)], EstimandTag.GAMMA)
+    assert not any(isinstance(value, Exception) for pair in out for value in pair)
+    assert eigvalsh_shapes == []
+    assert sorted(eigh_shapes) in ([(15, 4, 4)], [(1, 4, 4), (15, 4, 4)])
+
+
 def test_d_rho_vanishes_at_t0():
     for tag in ALL_TAGS:
         assert np.max(np.abs(d_rho(P_REF, 0.0, tag))) < 1e-12

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from chargeqfi.dynamics import analytic_state_matrix, propagate_expm
-from chargeqfi.model import SystemParams, as_matrix, bell_state_psi_plus, max_abs_diff
+from chargeqfi.model import (
+    SystemParams,
+    as_matrix,
+    bell_state_psi_plus,
+    max_abs_diff,
+    _state_contract,
+)
 from chargeqfi.errors import ContractViolationError
 from chargeqfi.spectral import (
     EIGENVALUE_CLAMP,
@@ -131,9 +137,11 @@ def test_constant_invariant_plane():
 
 
 def test_decompose_rejects_non_hermitian():
+    # a non-state fails the state contract before any eigensystem is read
     bad = as_matrix(BELL).copy()
     bad[0, 1] = 0.1
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="^Hermiticity deviation 1.000e-01 exceeds 1e-10$"):
         spectral_decompose(bad)
 
 
@@ -141,11 +149,13 @@ def test_decompose_rejects_non_hermitian():
 def test_decompose_rejects_non_finite(value):
     bad = as_matrix(BELL).copy()
     bad[0, 0] = value
-    with pytest.raises(ContractViolationError, match="non-finite"):
+    with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
         spectral_decompose(bad)
 
 
 def test_decompose_many_reports_non_finite_matrices_per_point():
+    # the state contract reports finiteness per point and hands the decomposition
+    # its eigh of the stack, a non-finite matrix solved as the eye(4)/4 stand-in
     nan_entry = as_matrix(BELL).copy()
     nan_entry[0, 0] = np.nan
     inf_entry = as_matrix(BELL).copy()
@@ -155,13 +165,16 @@ def test_decompose_many_reports_non_finite_matrices_per_point():
     before = stack.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, vecs, clamped, n_clamped, faults = decompose_many(stack)
+        state_faults, eigh = _state_contract(stack)
+        vals, vecs, clamped, n_clamped, faults = decompose_many(*eigh)
     assert np.array_equal(stack, before, equal_nan=True)
+    assert faults == [None] * 6
     for k in (1, 3, 4):
-        assert isinstance(faults[k], ContractViolationError)
-        assert str(faults[k]) == "cannot decompose a matrix with non-finite entries"
+        assert isinstance(state_faults[k], ContractViolationError)
+        assert str(state_faults[k]) == "state has non-finite entries"
+        assert np.array_equal(eigh[0][k], np.eye(4) / 4)
     for k in (0, 2, 5):
-        assert faults[k] is None
+        assert state_faults[k] is None
         single = spectral_decompose(stack[k])
         assert np.array_equal(vals[k], single.eigenvalues)
         assert np.array_equal(vecs[k], single.eigenvectors)
