@@ -19,13 +19,15 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
 - evolve CSV (default grid, and --points 300 off degeneracy), and the
   exit code and stderr of --t-max 1e300 at both points;
 - audit JSON: default, strong coupling (ej 1, em 5, gamma 0, closed-form
-  failures), e 0.2 gamma 0.5 at 50 points, off degeneracy;
+  failures), e 0.2 gamma 0.5 at 50 points, off degeneracy, and --t-max 1000
+  (the closed form overflows from t ~ 887.2);
 - qfi JSON for 3 estimands x t in {0, 1e-6, 1, 2, 7.5, 1e300} at both points;
 - all 12 figure presets at 201 points;
 - gamma (from 0, with its error row), ej, em and time sweeps (the last
   also to 1e300) off degeneracy, CSV and JSON, for each estimand;
 - one sweep from a --config JSON file (model parameters, an em axis and JSON
-  output from the file, --points from a flag);
+  output from the file, --points from a flag), and one precedence run: a
+  file setting e, ej and JSON output, with --em and --format csv as flags;
 - the rebuilt docs/closed_form_audit.json;
 - d_rho and spectral_derivative (array bytes, dtypes, near_degenerate_pairs,
   or the exception class and text) for 3 estimands x t in {0, 1e-6, 1, 2,
@@ -39,7 +41,8 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   state, eye(4)/4, and of four matrices that are not states: a non-finite,
   a non-Hermitian, a negative-eigenvalue and a trace-2 one.
 
-Every CLI call records its argv, exit code, stdout and stderr. Files go to a
+Every CLI call records its argv, exit code, stdout and stderr, or the class
+and text of an exception that escapes cli_main. Files go to a
 temporary directory that is removed afterwards; no tracked file is written.
 """
 
@@ -82,7 +85,10 @@ def run_cli(cli, argv) -> bytes:
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("default")
-        code = cli.cli_main(argv)
+        try:
+            code = cli.cli_main(argv)
+        except Exception as exc:  # the class and text are the output
+            code = f"uncaught {type(exc).__name__}: {exc}"
     return f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
 
 
@@ -161,7 +167,8 @@ def collect(checkout: Path, tmp: Path) -> list:
                 outputs.append(run_cli(cli, ["qfi", *flags, "--param", eta, "--t", t]))
         outputs.extend(derivative_bytes(model, qfi, flags))
     for flags in ([], ["--ej", "1", "--em", "5", "--gamma", "0"],
-                  ["--e", "0.2", "--gamma", "0.5", "--points", "50"], OFF_FLAGS):
+                  ["--e", "0.2", "--gamma", "0.5", "--points", "50"], OFF_FLAGS,
+                  ["--t-max", "1000"]):
         outputs.append(run_cli(cli, ["audit", *flags]))
     for eta in ESTIMANDS:
         for axis, start, end in SWEEP_AXES:
@@ -175,6 +182,12 @@ def collect(checkout: Path, tmp: Path) -> list:
                                   "output_format": "json", "e": 0.2, "gamma": 0.3,
                                   "ng1": 0.45, "ng2": 0.55}), encoding="utf-8")
     outputs.append(run_cli(cli, ["sweep", "--config", str(config), "--points", "21"]))
+    # flag > config file > the --e shorthand > default, and --format over the file
+    config.write_text(json.dumps({"estimand": "em", "axis": "gamma", "axis_start": 0.1,
+                                  "axis_end": 0.5, "points": 5, "e": 0.2, "ej": 0.3,
+                                  "output_format": "json"}), encoding="utf-8")
+    outputs.append(run_cli(cli, ["sweep", "--config", str(config), "--em", "0.15",
+                                 "--format", "csv"]))
     for figure_id in sorted(sweeps.FIGURES):
         out_dir = tmp / figure_id
         outputs.append(run_cli(cli, ["figure", figure_id, "--points", "201",

@@ -20,10 +20,12 @@ from .dynamics import audit_analytic, check_time, check_tol, propagate_checked
 from .qfi import FD_STEP_DEFAULT, EstimandTag, check_fd_step, qfi_points
 from .sweeps import (
     FIGURES,
+    MODEL_NAMES,
     SweepConfig,
     figure_dataset,
     format_float,
-    json_float,
+    model_json,
+    result_json,
     run_sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -41,46 +43,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-PARAM_DEFAULTS = {"gamma": 0.4, "ej": 0.1, "em": 0.1, "ec1": 1.0, "ec2": 1.0,
-                  "ng1": 0.5, "ng2": 0.5}
+# default and help text of each model flag; sweeps.MODEL_NAMES maps the same
+# names to the SystemParams fields they set
+PARAM_FLAGS = {"gamma": (0.4, "dephasing rate"), "ej": (0.1, "Josephson energy of both qubits"),
+               "em": (0.1, "mutual coupling energy"), "ec1": (1.0, "charging energy, qubit 1"),
+               "ec2": (1.0, "charging energy, qubit 2"), "ng1": (0.5, "gate charge, qubit 1"),
+               "ng2": (0.5, "gate charge, qubit 2")}
+# sweep config key -> (its flag's destination, default)
+SWEEP_SETTINGS = {"estimand": ("param", None), "axis": ("axis", "time"),
+                  "axis_start": ("axis_start", 0.0), "axis_end": ("axis_end", 10.0),
+                  "points": ("points", 101), "t": ("t", 1.0),
+                  "fd_step": ("fd_step", FD_STEP_DEFAULT), "output_format": ("format", "csv")}
+_CONFIG_KEYS = {*PARAM_FLAGS, "e", *SWEEP_SETTINGS}
+_SWEEP_WRITERS = {"csv": sweep_to_csv, "json": sweep_to_json}
 
 
 def _add_param_flags(sub):
     # None means "not given"; true defaults are filled in when params are built
-    def add(name, text):
+    for name, (default, text) in PARAM_FLAGS.items():
         sub.add_argument(f"--{name}", type=float, default=None,
-                         help=f"{text} (default {PARAM_DEFAULTS[name]})")
-
-    add("gamma", "dephasing rate")
-    add("ej", "Josephson energy of both qubits")
-    add("em", "mutual coupling energy")
-    sub.add_argument("--e", type=float, default=None,
-                     help="shorthand setting ej = em = E (explicit --ej/--em win)")
-    add("ec1", "charging energy, qubit 1")
-    add("ec2", "charging energy, qubit 2")
-    add("ng1", "gate charge, qubit 1")
-    add("ng2", "gate charge, qubit 2")
+                         help=f"{text} (default {default})")
+        if name == "em":
+            sub.add_argument("--e", type=float, default=None,
+                             help="shorthand setting ej = em = E (explicit --ej/--em win)")
 
 
-def _build_params(args, file_cfg: dict | None = None) -> SystemParams:
-    cfg = file_cfg or {}
-    e_short = args.e if args.e is not None else cfg.get("e")
+def _resolve(args, file_cfg: dict, key: str, default, dest: str | None = None):
+    """A setting's flag if given, else its config-file key if present, else default."""
+    flag = getattr(args, dest or key)
+    return flag if flag is not None else file_cfg.get(key, default)
 
-    def pick(name):
-        # flag, then config file, then the --e shorthand for ej/em, then the default
-        if getattr(args, name) is not None:
-            return getattr(args, name)
-        if name in cfg:
-            return cfg[name]
+
+def _build_params(args, file_cfg: dict) -> SystemParams:
+    # the --e shorthand (flag, then file) stands in for the ej and em defaults
+    e_short = _resolve(args, file_cfg, "e", None)
+    fields = {}
+    for name, (default, _) in PARAM_FLAGS.items():
         if name in ("ej", "em") and e_short is not None:
-            return e_short
-        return PARAM_DEFAULTS[name]
-
-    ej = pick("ej")
+            default = e_short
+        fields.update(dict.fromkeys(MODEL_NAMES[name], _resolve(args, file_cfg, name, default)))
     try:
-        return SystemParams(e_c1=pick("ec1"), e_c2=pick("ec2"), e_j1=ej, e_j2=ej,
-                            e_m=pick("em"), n_g1=pick("ng1"), n_g2=pick("ng2"),
-                            gamma=pick("gamma"))
+        return SystemParams(**fields)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -121,7 +124,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--points", type=int, default=None)
     sweep.add_argument("--t", type=float, default=None)
     sweep.add_argument("--fd-step", type=float, default=None)
-    sweep.add_argument("--format", choices=["csv", "json"], default=None)
+    sweep.add_argument("--format", choices=list(_SWEEP_WRITERS), default=None)
     sweep.add_argument("--out", type=str, default=None)
 
     figure = subs.add_parser("figure", help="run a bundled figure preset")
@@ -155,7 +158,7 @@ def _time_grid(args) -> np.ndarray:
 
 
 def _cmd_evolve(args) -> int:
-    p = _build_params(args)
+    p = _build_params(args, {})
     times = _time_grid(args)
     header = ["t"]
     for i in range(1, 5):
@@ -173,7 +176,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    p = _build_params(args)
+    p = _build_params(args, {})
     _check_option("--t", check_time, args.t)
     _check_option("--fd-step", check_fd_step, args.fd_step)
     eta = EstimandTag(args.param)
@@ -182,17 +185,11 @@ def _cmd_qfi(args) -> int:
     if isinstance(breakdown, Exception):
         raise breakdown
     payload = {
-        "params": {"gamma": p.gamma, "ej": p.e_j1, "em": p.e_m, "ec1": p.e_c1,
-                   "ec2": p.e_c2, "ng1": p.n_g1, "ng2": p.n_g2},
+        "params": model_json(p),
         "estimand": eta.value,
         "t": args.t,
         "fd_step": breakdown.fd_step,
-        "f_total": breakdown.f_total,
-        "f_c": breakdown.f_c,
-        "f_p": breakdown.f_p,
-        "f_m": breakdown.f_m,
-        "crb": json_float(breakdown.crb),
-        "sld": sld,
+        **result_json(breakdown, sld),
         "n_clamped": breakdown.n_clamped,
         "gauge_residual": breakdown.gauge_residual,
     }
@@ -200,12 +197,8 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = {"gamma", "ej", "em", "e", "ec1", "ec2", "ng1", "ng2", "estimand",
-                "axis", "axis_start", "axis_end", "points", "t", "fd_step",
-                "output_format"}
-
-
-def _sweep_config(args) -> SweepConfig:
+def _sweep_config(args) -> tuple[SweepConfig, str]:
+    """The sweep's SweepConfig and output format, each setting by flag > file > default."""
     file_cfg = {}
     if args.config is not None:
         try:
@@ -217,39 +210,26 @@ def _sweep_config(args) -> SweepConfig:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    estimand = pick(args.param, "estimand", None)
+    settings = {key: _resolve(args, file_cfg, key, default, dest)
+                for key, (dest, default) in SWEEP_SETTINGS.items()}
+    estimand = settings.pop("estimand")
+    output_format = settings.pop("output_format")
     if estimand is None:
         raise _UsageError("an estimand is required (--param or config key 'estimand')")
     params = _build_params(args, file_cfg)
     try:
-        return SweepConfig(
-            params=params,
-            estimand=EstimandTag(estimand),
-            axis=pick(args.axis, "axis", "time"),
-            axis_start=pick(args.axis_start, "axis_start", 0.0),
-            axis_end=pick(args.axis_end, "axis_end", 10.0),
-            points=pick(args.points, "points", 101),
-            t=pick(args.t, "t", 1.0),
-            fd_step=pick(args.fd_step, "fd_step", FD_STEP_DEFAULT),
-            output_format=pick(args.format, "output_format", "csv"),
-        )
+        cfg = SweepConfig(params=params, estimand=EstimandTag(estimand), **settings)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    formats = tuple(_SWEEP_WRITERS)  # a tuple: a JSON list or object is no dict key
+    if output_format not in formats:
+        raise _UsageError(f"output_format must be one of {formats}, got {output_format!r}")
+    return cfg, output_format
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _sweep_config(args)
-    result = run_sweep(cfg)
-    text = sweep_to_csv(result) if cfg.output_format == "csv" else sweep_to_json(result)
-    _write_text(args.out, text)
+    cfg, output_format = _sweep_config(args)
+    _write_text(args.out, _SWEEP_WRITERS[output_format](run_sweep(cfg)))
     return 0
 
 
@@ -269,7 +249,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    p = _build_params(args)
+    p = _build_params(args, {})
     grid = _time_grid(args)
     _check_option("--tol", check_tol, args.tol)
     report = audit_analytic(p, grid, tol=args.tol)
@@ -287,25 +267,18 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits directly for --help; keep that code
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ContractViolationError as exc:
-        print(f"numerical contract failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # domain failures inside the computation (negative radicand, bad step)
+    except (ContractViolationError, ValueError) as exc:
+        # contract violations, and domain failures inside the computation
+        # (negative radicand, bad step)
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 2
 

@@ -393,10 +393,10 @@ class AuditReport:
 def audit_analytic(p: SystemParams, t_grid, tol: float = 1e-8) -> AuditReport:
     """Compare analytic_state_matrix against propagate_checked on a time grid.
 
-    Every time is checked before any state is propagated. Domain errors in
-    the closed form become audit entries, never exceptions. Verdict is
-    "consistent" iff the largest entrywise deviation over the grid stays
-    within tol.
+    Every time is checked before any state is propagated. Domain errors and
+    overflows in the closed form become audit entries, never exceptions.
+    Verdict is "consistent" iff the largest entrywise deviation over the grid
+    stays within tol.
     """
     check_tol(tol)
     grid = tuple(float(t) for t in t_grid)
@@ -406,7 +406,7 @@ def audit_analytic(p: SystemParams, t_grid, tol: float = 1e-8) -> AuditReport:
     for t, oracle in zip(grid, propagate_checked(bell_state_psi_plus(), [p] * len(grid), grid)):
         try:
             candidate = analytic_state_matrix(p, t)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             failures.append((t, str(exc)))
             continue
         dev = np.abs(candidate - oracle)

@@ -81,7 +81,10 @@ class SystemParams:
 
 
 def check_field(name: str, value) -> None:
-    """ValueError unless value may be SystemParams field name: finite, real, not bool; gamma >= 0."""
+    """ValueError unless value may be SystemParams field name: finite, real, not bool; gamma >= 0.
+
+    SweepConfig applies the same finite-real-number rule to its axis bounds,
+    t and fd_step."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if name == "gamma" and value < 0.0:
@@ -192,8 +195,10 @@ def as_matrix(rho) -> np.ndarray:
     return arr
 
 
+# built and validated once: a DensityMatrix is frozen and its matrix read-only
+_BELL_PSI_PLUS = DensityMatrix(0.5 * np.outer([0, 1, 1, 0], [0, 1, 1, 0]))
+
+
 def bell_state_psi_plus() -> DensityMatrix:
     """Projector onto (|01> + |10>)/sqrt(2), the initial state used throughout."""
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = mat[2, 2] = mat[1, 2] = mat[2, 1] = 0.5
-    return DensityMatrix(mat)
+    return _BELL_PSI_PLUS

@@ -26,7 +26,12 @@ from .qfi import FD_STEP_DEFAULT, EstimandTag, QfiBreakdown, check_fd_step, _qfi
 from . import __version__
 
 AXES = ("time", "gamma", "ej", "em")
-FORMATS = ("csv", "json")
+# the external name of each model parameter (command-line flag, config key,
+# JSON field) -> the SystemParams fields it sets
+MODEL_NAMES = {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",),
+               "ec1": ("e_c1",), "ec2": ("e_c2",), "ng1": ("n_g1",), "ng2": ("n_g2",)}
+# breakdown fields a JSON result carries, before the SLD value
+RESULT_FIELDS = ("f_total", "f_c", "f_p", "f_m", "crb")
 CSV_HEADER = "axis,f_total,f_c,f_p,f_m,crb"
 # relative floor used when comparing the two Fisher-information routes
 ORACLE_REL_FLOOR = 1e-6
@@ -45,16 +50,29 @@ def json_float(x: float):
     return x if math.isfinite(x) else format_float(x)
 
 
+def model_json(p: SystemParams) -> dict:
+    """p under its external names (MODEL_NAMES), as qfi and sweep JSON echo it."""
+    return {name: getattr(p, fields[0]) for name, fields in MODEL_NAMES.items()}
+
+
+def result_json(breakdown: QfiBreakdown | None, sld: float | None) -> dict:
+    """The f_total, f_c, f_p, f_m, crb, sld block of qfi and sweep JSON; all None for a failed point."""
+    if breakdown is None:
+        return dict.fromkeys(RESULT_FIELDS + ("sld",))
+    return {**{name: json_float(getattr(breakdown, name)) for name in RESULT_FIELDS},
+            "sld": json_float(sld)}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One-dimensional sweep of the Fisher information.
 
     axis selects what varies: "time" sweeps t, the parameter axes sweep the
     named energy/rate at fixed evaluation time t. points is an int;
-    axis_start, axis_end, t and fd_step are real numbers (bool and str are
-    rejected), and the first three are finite. parallelism is None or an
-    integer >= 1; it is validated and echoed in JSON output, and changes no
-    result.
+    axis_start, axis_end, t and fd_step are finite real numbers
+    (model.check_field: bool and str are rejected). parallelism is None or
+    an integer >= 1; it is validated and changes no result. How a result is
+    written (sweep_to_csv, sweep_to_json) is the caller's choice.
     """
 
     params: SystemParams
@@ -65,18 +83,13 @@ class SweepConfig:
     points: int
     t: float = 1.0
     fd_step: float = FD_STEP_DEFAULT
-    output_format: str = "csv"
     parallelism: int | None = None
 
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         for name in ("axis_start", "axis_end", "t", "fd_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if name != "fd_step" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_field(name, getattr(self, name))
         if not (self.axis_start < self.axis_end):
             raise ValueError(f"axis_start must be < axis_end, got [{self.axis_start}, {self.axis_end}]")
         if not math.isfinite(self.axis_end - self.axis_start):
@@ -86,8 +99,6 @@ class SweepConfig:
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
         check_fd_step(self.fd_step)
-        if self.output_format not in FORMATS:
-            raise ValueError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
         par = self.parallelism
         if par is not None and (isinstance(par, bool) or not isinstance(par, int) or par < 1):
             raise ValueError(f"parallelism must be an integer >= 1, got {par!r}")
@@ -164,28 +175,14 @@ def sweep_to_json(result: SweepResult) -> str:
     cfg = result.config
     payload = {
         "config": {
-            "gamma": cfg.params.gamma, "ej": cfg.params.e_j1, "em": cfg.params.e_m,
-            "ec1": cfg.params.e_c1, "ec2": cfg.params.e_c2,
-            "ng1": cfg.params.n_g1, "ng2": cfg.params.n_g2,
+            **model_json(cfg.params),
             "estimand": cfg.estimand.value, "axis": cfg.axis,
             "axis_start": cfg.axis_start, "axis_end": cfg.axis_end,
             "points": cfg.points, "t": cfg.t, "fd_step": cfg.fd_step,
-            "output_format": cfg.output_format, "parallelism": cfg.parallelism,
         },
         "provenance": result.provenance,
-        "rows": [
-            {
-                "axis": row.axis_value,
-                "f_total": json_float(row.breakdown.f_total) if row.error is None else None,
-                "f_c": json_float(row.breakdown.f_c) if row.error is None else None,
-                "f_p": json_float(row.breakdown.f_p) if row.error is None else None,
-                "f_m": json_float(row.breakdown.f_m) if row.error is None else None,
-                "crb": json_float(row.breakdown.crb) if row.error is None else None,
-                "sld": json_float(row.sld) if row.error is None else None,
-                "error": row.error,
-            }
-            for row in result.rows
-        ],
+        "rows": [{"axis": row.axis_value, **result_json(row.breakdown, row.sld), "error": row.error}
+                 for row in result.rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -8,7 +8,7 @@ import pytest
 from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
 from chargeqfi.model import SystemParams
-from chargeqfi.qfi import EstimandTag, d_rho, spectral_derivative
+from chargeqfi.qfi import FD_STEP_DEFAULT, EstimandTag, d_rho, spectral_derivative
 
 REF_FLAGS = ["--gamma", "0.4", "--e", "0.1"]
 
@@ -122,6 +122,92 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     assert len(parsed["rows"]) == 3
 
 
+# each sweep config key: its flag, a flag value, a file value and the default
+# (the estimand has none); every key is echoed in the sweep JSON config block
+PRECEDENCE = [
+    ("gamma", "--gamma", 0.3, 0.35, 0.4),
+    ("ej", "--ej", 0.15, 0.25, 0.1),
+    ("em", "--em", 0.15, 0.25, 0.1),
+    ("ec1", "--ec1", 1.1, 1.2, 1.0),
+    ("ec2", "--ec2", 1.1, 1.2, 1.0),
+    ("ng1", "--ng1", 0.45, 0.55, 0.5),
+    ("ng2", "--ng2", 0.45, 0.55, 0.5),
+    ("estimand", "--param", "em", "ej", None),
+    ("axis", "--axis", "gamma", "em", "time"),
+    ("axis_start", "--axis-start", 1.0, 2.0, 0.0),
+    ("axis_end", "--axis-end", 3.0, 4.0, 10.0),
+    ("points", "--points", 3, 4, 101),
+    ("t", "--t", 1.5, 2.5, 1.0),
+    ("fd_step", "--fd-step", 2e-4, 3e-4, FD_STEP_DEFAULT),
+]
+
+
+def run_sweep_cli(tmp_path, capsys, flags, file_cfg):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg), encoding="utf-8")
+    return run_cli(["sweep", "--config", str(cfg), *flags], capsys)
+
+
+@pytest.mark.parametrize("key,flag,flag_value,file_value,default", PRECEDENCE,
+                         ids=[case[0] for case in PRECEDENCE])
+def test_sweep_setting_precedence(tmp_path, capsys, key, flag, flag_value, file_value, default):
+    """A flag beats the config file, which beats the default."""
+    # the other settings: estimand gamma and 2 points, unless under test
+    base = {name: value for name, value in (("estimand", "gamma"), ("points", 2)) if name != key}
+    for flags, file_cfg, expected in (([flag, str(flag_value)], {key: file_value}, flag_value),
+                                      ([], {key: file_value}, file_value),
+                                      ([], {}, default)):
+        code, out, err = run_sweep_cli(tmp_path, capsys, [*flags, "--format", "json"],
+                                       {**base, **file_cfg})
+        if expected is None:
+            assert (code, out) == (1, "") and "an estimand is required" in err
+        else:
+            assert code == 0, err
+            assert json.loads(out)["config"][key] == expected
+
+
+@pytest.mark.parametrize("name,other", [("ej", "em"), ("em", "ej")])
+def test_sweep_e_shorthand_precedence(tmp_path, capsys, name, other):
+    """--e (flag, then file) stands in for the ej and em defaults only."""
+    base = {"estimand": "gamma", "points": 2}
+    for flags, file_cfg, expected, expected_other in (
+            (["--e", "0.2"], {}, 0.2, 0.2),                      # --e beats the default
+            ([], {"e": 0.3}, 0.3, 0.3),                          # --e given in the file
+            (["--e", "0.2"], {"e": 0.3}, 0.2, 0.2),              # the flag's --e beats the file's
+            (["--e", "0.2"], {name: 0.25}, 0.25, 0.2),           # the file beats --e
+            ([], {name: 0.25, "e": 0.3}, 0.25, 0.3),
+            ([f"--{name}", "0.15", "--e", "0.2"], {name: 0.25, "e": 0.3}, 0.15, 0.2)):
+        code, out, err = run_sweep_cli(tmp_path, capsys, [*flags, "--format", "json"],
+                                       {**base, **file_cfg})
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert (config[name], config[other]) == (expected, expected_other)
+
+
+def test_sweep_output_format_precedence(tmp_path, capsys):
+    """The output format is a command-line setting: --format beats the file's
+    output_format, which beats CSV; the JSON config block does not echo it."""
+    base = {"estimand": "gamma", "points": 2}
+    for flags, file_cfg, expected in ((["--format", "csv"], {"output_format": "json"}, "csv"),
+                                      (["--format", "json"], {"output_format": "csv"}, "json"),
+                                      ([], {"output_format": "json"}, "json"),
+                                      ([], {"output_format": "csv"}, "csv"),
+                                      ([], {}, "csv")):
+        code, out, err = run_sweep_cli(tmp_path, capsys, flags, {**base, **file_cfg})
+        assert code == 0, err
+        if expected == "csv":
+            assert out.startswith("axis,f_total,f_c,f_p,f_m,crb\n")
+        else:
+            assert set(json.loads(out)["config"]).isdisjoint({"output_format", "parallelism"})
+
+
+def test_sweep_config_rejects_output_format(tmp_path, capsys):
+    code, out, err = run_sweep_cli(tmp_path, capsys, [],
+                                   {"estimand": "gamma", "output_format": "yaml"})
+    assert (code, out) == (1, "")
+    assert err == "error: output_format must be one of ('csv', 'json'), got 'yaml'\n"
+
+
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for key in ("bogus", "parallelism"):
@@ -232,6 +318,16 @@ def test_numerical_failures_exit_2(capsys):
         code, out, err = run_cli([command, "--t-max", "1e300", "--points", "3"], capsys)
         assert (code, out) == (2, "")
         assert err == "numerical contract failure: state has non-finite entries\n"
+
+
+def test_audit_reports_closed_form_overflow(capsys):
+    # the closed form overflows from t ~ 887.2 at the default point; the
+    # report lists those times as failures instead of dying
+    code, out, err = run_cli(["audit", "--t-max", "1000"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [entry["t"] for entry in payload["failures"]] == [900.0, 950.0, 1000.0]
+    assert payload["verdict"] == "inconsistent"
 
 
 def test_help_exits_zero(capsys):

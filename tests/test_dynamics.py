@@ -513,6 +513,14 @@ def test_audit_collects_domain_failures():
     assert len(rep.failures) == 1
 
 
+def test_audit_collects_closed_form_overflow():
+    # exp(2 gamma t) in the closed form overflows a float from t ~ 887.2 at P_REF
+    rep = audit_analytic(P_REF, [1.0, 900.0])
+    assert rep.verdict == "inconsistent"
+    assert rep.failures == ((900.0, "math range error"),)
+    assert {entry[0] for entry in rep.deviating_entries} == {1.0}
+
+
 def test_import_leaves_the_integrator_unloaded():
     # scipy.integrate is most of the package's import time and only
     # propagate_rk needs it

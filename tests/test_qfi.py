@@ -97,8 +97,8 @@ def test_qfi_points_shift_rows_are_the_shifted_params(monkeypatch, tag):
 
 def test_qfi_points_eigen_solves_each_state_once(monkeypatch):
     # the state contract's eigh is the decomposition's: one batched solve over
-    # the base, +h and -h states of 5 points, plus at most the Bell state's own
-    # 1-matrix check, and no eigvalsh at all
+    # the base, +h and -h states of 5 points, and no eigvalsh at all (the Bell
+    # state is validated once, at import)
     eigh_shapes, eigvalsh_shapes = [], []
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -115,7 +115,7 @@ def test_qfi_points_eigen_solves_each_state_once(monkeypatch):
     out = qfi_points([(P_REF, t) for t in (0.5, 1.0, 2.0, 3.5, 5.0)], EstimandTag.GAMMA)
     assert not any(isinstance(value, Exception) for pair in out for value in pair)
     assert eigvalsh_shapes == []
-    assert sorted(eigh_shapes) in ([(15, 4, 4)], [(1, 4, 4), (15, 4, 4)])
+    assert eigh_shapes == [(15, 4, 4)]
 
 
 def test_d_rho_vanishes_at_t0():
