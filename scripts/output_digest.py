@@ -16,6 +16,8 @@ listings can be diffed to name the outputs that moved.
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
+- the --help text of each subcommand, which shows the derived --param and
+  --axis choices, and the usage errors of a non-finite --ej and --ng1;
 - evolve CSV (default grid, and --points 300 off degeneracy), and the
   exit code and stderr of --t-max 1e300 at both points;
 - audit JSON: default, strong coupling (ej 1, em 5, gamma 0, closed-form
@@ -28,10 +30,13 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
 - one sweep from a --config JSON file (model parameters, an em axis and JSON
   output from the file, --points from a flag), and one precedence run: a
   file setting e, ej and JSON output, with --em and --format csv as flags;
+- the library sweep_to_json of a time sweep off degeneracy with
+  e_j1 = 0.2 != e_j2 = 0.25, whose config block echoes both fields;
 - the rebuilt docs/closed_form_audit.json;
-- d_rho and spectral_derivative (array bytes, dtypes, near_degenerate_pairs,
-  or the exception class and text) for 3 estimands x t in {0, 1e-6, 1, 2,
-  7.5, -1, 1e300} x h in {1e-4, 1e-8, 1e-2} at both points.
+- d_rho and spectral_derivative (array bytes, dtypes, step,
+  near_degenerate_pairs, or the exception class and text) for 3 estimands
+  x t in {0, 1e-6, 1, 2, 7.5, -1, 1e300} x h in {1e-4, 1e-8, 1e-2} at both
+  points.
 - the states and fault texts of one propagate_many call over EXPM_CHUNK + 37
   parameter sets that interleave off-degenerate and degenerate ones, so that
   a set recurs within and across expm chunks (sweeps and presets only hold
@@ -111,8 +116,7 @@ def derivative_bytes(model, qfi, flags) -> list:
                         body = b"".join(f"{a.dtype} {a.shape}".encode() + a.tobytes()
                                         for a in arrays)
                         if fn is qfi.spectral_derivative:
-                            body += (f"{value.method} {value.step!r} "
-                                     f"{value.near_degenerate_pairs}").encode()
+                            body += f"{value.step!r} {value.near_degenerate_pairs}".encode()
                     outputs.append(head + body)
     return outputs
 
@@ -157,7 +161,10 @@ def decomposition_bytes(dynamics, model, spectral) -> list:
 
 def collect(checkout: Path, tmp: Path) -> list:
     cli, dynamics, model, qfi, spectral, sweeps = import_checkout(checkout)
-    outputs = []
+    outputs = [run_cli(cli, [command, "--help"])
+               for command in ("evolve", "qfi", "sweep", "figure", "audit")]
+    for flags in (["--ej", "nan"], ["--ng1", "inf"]):
+        outputs.append(run_cli(cli, ["qfi", "--param", "gamma", *flags]))
     for flags in (DEFAULT_FLAGS, OFF_FLAGS):
         points = ["--points", "300"] if flags else []
         outputs.append(run_cli(cli, ["evolve", *flags, *points]))
@@ -188,6 +195,10 @@ def collect(checkout: Path, tmp: Path) -> list:
                                   "output_format": "json"}), encoding="utf-8")
     outputs.append(run_cli(cli, ["sweep", "--config", str(config), "--em", "0.15",
                                  "--format", "csv"]))
+    unequal = model.SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    outputs.append(sweeps.sweep_to_json(sweeps.run_sweep(sweeps.SweepConfig(
+        params=unequal, estimand=qfi.EstimandTag.EJ, axis="time", axis_start=0.5,
+        axis_end=5.0, points=7))).encode())
     for figure_id in sorted(sweeps.FIGURES):
         out_dir = tmp / figure_id
         outputs.append(run_cli(cli, ["figure", figure_id, "--points", "201",

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import SystemParams, bell_state_psi_plus
+from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, check_field
 from .dynamics import audit_analytic, check_time, check_tol, propagate_checked
 from .qfi import FD_STEP_DEFAULT, EstimandTag, check_fd_step, qfi_points
 from .sweeps import (
+    AXES,
     FIGURES,
-    MODEL_NAMES,
     SweepConfig,
     figure_dataset,
     format_float,
@@ -43,8 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# default and help text of each model flag; sweeps.MODEL_NAMES maps the same
-# names to the SystemParams fields they set
+# default and help text of each model flag, by its name in model.MODEL_NAMES
 PARAM_FLAGS = {"gamma": (0.4, "dephasing rate"), "ej": (0.1, "Josephson energy of both qubits"),
                "em": (0.1, "mutual coupling energy"), "ec1": (1.0, "charging energy, qubit 1"),
                "ec2": (1.0, "charging energy, qubit 2"), "ng1": (0.5, "gate charge, qubit 1"),
@@ -54,7 +53,10 @@ SWEEP_SETTINGS = {"estimand": ("param", None), "axis": ("axis", "time"),
                   "axis_start": ("axis_start", 0.0), "axis_end": ("axis_end", 10.0),
                   "points": ("points", 101), "t": ("t", 1.0),
                   "fd_step": ("fd_step", FD_STEP_DEFAULT), "output_format": ("format", "csv")}
-_CONFIG_KEYS = {*PARAM_FLAGS, "e", *SWEEP_SETTINGS}
+_CONFIG_KEYS = {*MODEL_NAMES, "e", *SWEEP_SETTINGS}
+# each SystemParams field -> the model name that sets it
+_FIELD_NAMES = {field: name for name, fields in MODEL_NAMES.items() for field in fields}
+_ESTIMANDS = [eta.value for eta in EstimandTag]
 _SWEEP_WRITERS = {"csv": sweep_to_csv, "json": sweep_to_json}
 
 
@@ -78,14 +80,17 @@ def _build_params(args, file_cfg: dict) -> SystemParams:
     # the --e shorthand (flag, then file) stands in for the ej and em defaults
     e_short = _resolve(args, file_cfg, "e", None)
     fields = {}
-    for name, (default, _) in PARAM_FLAGS.items():
-        if name in ("ej", "em") and e_short is not None:
-            default = e_short
-        fields.update(dict.fromkeys(MODEL_NAMES[name], _resolve(args, file_cfg, name, default)))
-    try:
-        return SystemParams(**fields)
+    try:  # SystemParams' own check and field order, under the name the user gave
+        for field in PARAM_FIELDS:
+            name = _FIELD_NAMES[field]
+            default = PARAM_FLAGS[name][0]
+            if name in ("ej", "em") and e_short is not None:
+                default = e_short
+            fields[field] = _resolve(args, file_cfg, name, default)
+            check_field(name, fields[field])
     except ValueError as exc:
         raise _UsageError(str(exc))
+    return SystemParams(**fields)
 
 
 def _check_option(flag: str, check, value) -> None:
@@ -109,7 +114,7 @@ def _build_parser() -> _Parser:
 
     qfi = subs.add_parser("qfi", help="Fisher-information breakdown at one point")
     _add_param_flags(qfi)
-    qfi.add_argument("--param", choices=["gamma", "ej", "em"], required=True)
+    qfi.add_argument("--param", choices=_ESTIMANDS, required=True)
     qfi.add_argument("--t", type=float, default=1.0)
     qfi.add_argument("--fd-step", type=float, default=FD_STEP_DEFAULT)
     qfi.add_argument("--out", type=str, default=None)
@@ -117,8 +122,8 @@ def _build_parser() -> _Parser:
     sweep = subs.add_parser("sweep", help="sweep the Fisher information along one axis")
     _add_param_flags(sweep)
     sweep.add_argument("--config", type=str, default=None, help="flat JSON config; flags override")
-    sweep.add_argument("--param", choices=["gamma", "ej", "em"], default=None)
-    sweep.add_argument("--axis", choices=["time", "gamma", "ej", "em"], default=None)
+    sweep.add_argument("--param", choices=_ESTIMANDS, default=None)
+    sweep.add_argument("--axis", choices=AXES, default=None)
     sweep.add_argument("--axis-start", type=float, default=None)
     sweep.add_argument("--axis-end", type=float, default=None)
     sweep.add_argument("--points", type=int, default=None)
@@ -142,7 +147,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -243,8 +248,7 @@ def _cmd_figure(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, result in dataset:
-        path = out_dir / f"{args.figure_id}_{label}.csv"
-        path.write_text(sweep_to_csv(result), encoding="utf-8", newline="\n")
+        _write_text(out_dir / f"{args.figure_id}_{label}.csv", sweep_to_csv(result))
     return 0
 
 

@@ -69,11 +69,9 @@ class SystemParams:
             check_field(f.name, getattr(self, f.name))
 
     @classmethod
-    def degenerate(cls, e_j: float, e_m: float, gamma: float,
-                   e_c1: float = 1.0, e_c2: float = 1.0) -> "SystemParams":
-        """Identical qubits parked at the charge degeneracy point n_g = 1/2."""
-        return cls(e_c1=e_c1, e_c2=e_c2, e_j1=e_j, e_j2=e_j, e_m=e_m,
-                   n_g1=0.5, n_g2=0.5, gamma=gamma)
+    def degenerate(cls, e_j: float, e_m: float, gamma: float) -> "SystemParams":
+        """Identical qubits parked at the charge degeneracy point n_g = 1/2 (E_c drops out)."""
+        return cls(e_j1=e_j, e_j2=e_j, e_m=e_m, n_g1=0.5, n_g2=0.5, gamma=gamma)
 
     def degenerate_identical(self) -> bool:
         """True iff n_g1 = n_g2 = 1/2 and both Josephson energies coincide."""
@@ -83,8 +81,8 @@ class SystemParams:
 def check_field(name: str, value) -> None:
     """ValueError unless value may be SystemParams field name: finite, real, not bool; gamma >= 0.
 
-    SweepConfig applies the same finite-real-number rule to its axis bounds,
-    t and fd_step."""
+    The CLI applies it under the names of MODEL_NAMES; SweepConfig applies the
+    finite-real-number rule to its axis bounds, t and fd_step."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if name == "gamma" and value < 0.0:
@@ -92,6 +90,9 @@ def check_field(name: str, value) -> None:
 
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+# external model name (flag, config key, JSON field, estimand) -> the SystemParams fields it sets
+MODEL_NAMES = {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",),
+               "ec1": ("e_c1",), "ec2": ("e_c2",), "ng1": ("n_g1",), "ng2": ("n_g2",)}
 
 
 def param_rows(params) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
-from .model import PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows, _readonly
+from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows, _readonly
 from .dynamics import check_time, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
@@ -58,7 +58,7 @@ class EstimandTag(enum.Enum):
     @property
     def fields(self) -> tuple:
         """The SystemParams fields the estimand moves, all by the same delta."""
-        return {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",)}[self.value]
+        return MODEL_NAMES[self.value]
 
 
 def check_fd_step(h: float) -> None:
@@ -86,7 +86,6 @@ class SpectralDerivative:
 
     d_eigenvalues: np.ndarray
     d_eigenvectors: np.ndarray
-    method: str
     step: float
     near_degenerate_pairs: tuple
 
@@ -138,13 +137,13 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     """Central differences at the param_rows of valid SystemParams and paired times.
 
     Returns (ks, faults, base, derivatives). faults[k] is point k's first
-    fault (or None) up to each stage: domain; state contract of the base, +h
-    and -h states; base eigen residual; shifted eigen residuals and matching.
-    The arrays run over the points in domain, ks: base is (eigenvalues,
-    eigenvectors, clamped, n_clamped) of the base states, derivatives is
-    (d_eigenvalues, d_eigenvectors, d_rho). One row-level propagate_many, whose
-    state contract takes the one batched eigh, and one matching call serve all
-    points and sides.
+    fault (or None) up to each stage: state contract of the base, +h and -h
+    states; base eigen residual; shifted eigen residuals and matching; or its
+    domain (t, step) fault at all three. The arrays run over the points in
+    domain, ks: base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
+    base states, derivatives is (d_eigenvalues, d_eigenvectors, d_rho). One
+    row-level propagate_many, whose state contract takes the one batched
+    eigh, and one matching call serve all points and sides.
     """
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
@@ -153,7 +152,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
             check_step(gamma, eta, h)
             faults.append(None)
         except ValueError as exc:
-            faults.append((exc,) * 4)
+            faults.append((exc,) * 3)
     ks = [k for k, fault in enumerate(faults) if fault is None]
     n = len(ks)
     # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
@@ -180,7 +179,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     for j, k in enumerate(ks):
         state = state_faults[j] or state_faults[n + j] or state_faults[2 * n + j]
         base = state or eig_faults[j]
-        faults[k] = (None, state, base, base or eig_faults[n + j] or eig_faults[2 * n + j]
+        faults[k] = (state, base, base or eig_faults[n + j] or eig_faults[2 * n + j]
                      or match_faults[j] or match_faults[n + j])
     return ks, faults, (vals[:n], vecs[:n], clamped[:n], n_clamped[:n]), (d_vals, d_vecs, drho)
 
@@ -188,7 +187,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
 def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
     """Central-difference derivative of rho(t) with respect to the estimand."""
     _, (faults,), _, (_, _, drho) = _derivative_rows(param_rows([p]), [t], eta, h)
-    _checked(faults[1])
+    _checked(faults[0])
     return drho[0]
 
 
@@ -203,13 +202,12 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
     pass their contract before any eigensystem is read.
     """
     _, (faults,), (vals, *_), (d_vals, d_vecs, _) = _derivative_rows(param_rows([p]), [t], eta, h)
-    _checked(faults[3])
+    _checked(faults[2])
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                     if abs(vals[0, i] - vals[0, j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
         d_eigenvalues=_readonly(d_vals[0]).real,
         d_eigenvectors=_readonly(d_vecs[0]),
-        method="central-difference",
         step=h,
         near_degenerate_pairs=flagged,
     )
@@ -298,9 +296,9 @@ def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     f_total = f_c + f_p - f_m
     sld = _sld_sums(clamped, vecs, drho)
     # the SLD value fails only up to the base eigen residual
-    out = [(fault[2], fault[2]) for fault in faults]
+    out = [(fault[1], fault[1]) for fault in faults]
     for j, k in enumerate(ks):
-        *_, sld_fault, breakdown = faults[k]
+        _, sld_fault, breakdown = faults[k]
         if sld_fault is not None:
             continue
         if breakdown is None:

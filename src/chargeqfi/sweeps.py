@@ -4,12 +4,10 @@ A sweep maps its axis to parameter rows and times and evaluates them all in
 one call of qfi._qfi_rows, the row form of qfi_points, which reads both QFI
 routes from the derivative core qfi._derivative_rows. A point whose axis
 value is not a valid parameter, or whose evaluation fails, becomes an error
-row carrying the message of its first failure, in the order: domain (t,
-step) -> state contract of the base, +h and -h states -> base eigen residual
--> shifted eigen residuals -> branch matching -> breakdown floors. Every row is
-a pure function of the configuration and floats are formatted to 17
-significant digits, so output bytes do not depend on the (accepted, no
-longer used) parallelism setting.
+row carrying the message of its first failure, in the order that the qfi
+module docstring gives. Every row is a pure function of the configuration
+and floats are formatted to 17 significant digits, so output bytes do not
+depend on the (accepted, no longer used) parallelism setting.
 """
 
 from __future__ import annotations
@@ -17,22 +15,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .model import PARAM_FIELDS, SystemParams, check_field, param_rows
+from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, check_field, param_rows
 from .dynamics import check_time
 from .qfi import FD_STEP_DEFAULT, EstimandTag, QfiBreakdown, check_fd_step, _qfi_rows
 from . import __version__
 
-AXES = ("time", "gamma", "ej", "em")
-# the external name of each model parameter (command-line flag, config key,
-# JSON field) -> the SystemParams fields it sets
-MODEL_NAMES = {"gamma": ("gamma",), "ej": ("e_j1", "e_j2"), "em": ("e_m",),
-               "ec1": ("e_c1",), "ec2": ("e_c2",), "ng1": ("n_g1",), "ng2": ("n_g2",)}
-# breakdown fields a JSON result carries, before the SLD value
+AXES = ("time", *(eta.value for eta in EstimandTag))
+# breakdown fields a CSV row and a JSON result carry, the latter before the SLD value
 RESULT_FIELDS = ("f_total", "f_c", "f_p", "f_m", "crb")
-CSV_HEADER = "axis,f_total,f_c,f_p,f_m,crb"
+_result_values = attrgetter(*RESULT_FIELDS)
+CSV_HEADER = ",".join(("axis", *RESULT_FIELDS))
 # relative floor used when comparing the two Fisher-information routes
 ORACLE_REL_FLOOR = 1e-6
 FIGURE_T_START = 1e-6
@@ -51,15 +47,20 @@ def json_float(x: float):
 
 
 def model_json(p: SystemParams) -> dict:
-    """p under its external names (MODEL_NAMES), as qfi and sweep JSON echo it."""
-    return {name: getattr(p, fields[0]) for name, fields in MODEL_NAMES.items()}
+    """p as qfi and sweep JSON echo it: each external name of MODEL_NAMES whose
+    fields hold one value, and otherwise each of its fields under its own name."""
+    out = {}
+    for name, fields in MODEL_NAMES.items():
+        values = [getattr(p, field) for field in fields]
+        out.update({name: values[0]} if len(set(values)) == 1 else zip(fields, values))
+    return out
 
 
 def result_json(breakdown: QfiBreakdown | None, sld: float | None) -> dict:
     """The f_total, f_c, f_p, f_m, crb, sld block of qfi and sweep JSON; all None for a failed point."""
     if breakdown is None:
         return dict.fromkeys(RESULT_FIELDS + ("sld",))
-    return {**{name: json_float(getattr(breakdown, name)) for name in RESULT_FIELDS},
+    return {**dict(zip(RESULT_FIELDS, map(json_float, _result_values(breakdown)))),
             "sld": json_float(sld)}
 
 
@@ -159,15 +160,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """CSV with header axis,f_total,f_c,f_p,f_m,crb; error rows carry nan."""
+    """CSV with header CSV_HEADER (axis, then RESULT_FIELDS); error rows carry nan."""
     lines = [CSV_HEADER]
+    error_values = (math.nan,) * len(RESULT_FIELDS)
     for row in result.rows:
-        if row.error is None:
-            b = row.breakdown
-            fields = (row.axis_value, b.f_total, b.f_c, b.f_p, b.f_m, b.crb)
-        else:
-            fields = (row.axis_value, math.nan, math.nan, math.nan, math.nan, math.nan)
-        lines.append(",".join(format_float(f) for f in fields))
+        values = error_values if row.error is not None else _result_values(row.breakdown)
+        lines.append(",".join(map(format_float, (row.axis_value, *values))))
     return "\n".join(lines) + "\n"
 
 
@@ -193,9 +191,8 @@ def sweep_to_json(result: SweepResult) -> str:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Preset family of time sweeps: one curve per parameter set."""
+    """Preset family of time sweeps, keyed by its id in FIGURES: one curve per parameter set."""
 
-    figure_id: str
     estimand: EstimandTag
     curves: tuple  # (label, SystemParams)
 
@@ -216,11 +213,11 @@ def _single(e: float, gamma: float) -> tuple:
 
 FIGURES: dict[str, FigureSpec] = {}
 for _tag, _eta in (("1", EstimandTag.GAMMA), ("3", EstimandTag.EJ), ("5", EstimandTag.EM)):
-    FIGURES[f"fig{_tag}a"] = FigureSpec(f"fig{_tag}a", _eta, _curves_e(gamma=0.4))
-    FIGURES[f"fig{_tag}b"] = FigureSpec(f"fig{_tag}b", _eta, _curves_gamma(e=0.1))
+    FIGURES[f"fig{_tag}a"] = FigureSpec(_eta, _curves_e(gamma=0.4))
+    FIGURES[f"fig{_tag}b"] = FigureSpec(_eta, _curves_gamma(e=0.1))
 for _tag, _eta in (("2", EstimandTag.GAMMA), ("4", EstimandTag.EJ), ("6", EstimandTag.EM)):
-    FIGURES[f"fig{_tag}a"] = FigureSpec(f"fig{_tag}a", _eta, _single(e=0.1, gamma=0.4))
-    FIGURES[f"fig{_tag}b"] = FigureSpec(f"fig{_tag}b", _eta, _single(e=0.2, gamma=0.4))
+    FIGURES[f"fig{_tag}a"] = FigureSpec(_eta, _single(e=0.1, gamma=0.4))
+    FIGURES[f"fig{_tag}b"] = FigureSpec(_eta, _single(e=0.2, gamma=0.4))
 
 
 def figure_dataset(figure_id: str, points: int = 201,

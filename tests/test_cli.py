@@ -9,6 +9,7 @@ from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
 from chargeqfi.model import SystemParams
 from chargeqfi.qfi import FD_STEP_DEFAULT, EstimandTag, d_rho, spectral_derivative
+from chargeqfi.sweeps import AXES
 
 REF_FLAGS = ["--gamma", "0.4", "--e", "0.1"]
 
@@ -287,10 +288,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert code == 1 and err.startswith(f"error: {next(iter(entry))} must be")
     # JSON true/false are not parameter values
     sweep = {"estimand": "gamma", "points": 3, "axis_start": 0.5, "axis_end": 1}
-    for entry, name in (({"gamma": True}, "gamma"), ({"ej": False}, "e_j1")):
+    for entry, name in (({"gamma": True}, "gamma"), ({"ej": False}, "ej")):
         cfg.write_text(json.dumps({**sweep, **entry}))
         code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1 and out == "" and err.startswith(f"error: {name} must be")
+    # a model value is checked under the name it was given, not its SystemParams field
+    for flags, name in ((["--ej", "nan"], "ej"), (["--e", "inf"], "ej"), (["--em", "nan"], "em"),
+                        (["--ec1", "inf"], "ec1"), (["--ng1", "inf"], "ng1"), (["--ng2", "nan"], "ng2")):
+        code, out, err = run_cli(["qfi", "--param", "gamma", *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be a finite real number, got {float(flags[1])!r}\n"
 
 
 def test_parallelism_is_not_an_option(tmp_path, capsys):
@@ -334,3 +341,11 @@ def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "evolve" in out and "sweep" in out
+    # the --param and --axis choices are the estimands and sweeps.AXES
+    estimands = "{" + ",".join(eta.value for eta in EstimandTag) + "}"
+    assert estimands == "{gamma,ej,em}" and AXES == ("time", "gamma", "ej", "em")
+    for command in ("qfi", "sweep"):
+        assert cli_main([command, "--help"]) == 0
+        assert f"--param {estimands}" in capsys.readouterr().out
+    assert cli_main(["sweep", "--help"]) == 0
+    assert "--axis {" + ",".join(AXES) + "}" in capsys.readouterr().out

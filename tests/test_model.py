@@ -1,5 +1,7 @@
 """Hamiltonian construction and state container checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,8 +102,8 @@ def test_hamiltonian_hermitian_real(ec1, ec2, ej1, ej2, em, ng1, ng2):
 
 
 def test_charging_energy_irrelevant_at_degeneracy():
-    a = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4, e_c1=1.0, e_c2=1.0)
-    b = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4, e_c1=7.0, e_c2=0.2)
+    a = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
+    b = dataclasses.replace(a, e_c1=7.0, e_c2=0.2)
     assert np.array_equal(build_hamiltonian(a), build_hamiltonian(b))
 
 

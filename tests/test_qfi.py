@@ -153,7 +153,6 @@ def test_d_rho_step_validation():
 
 def test_spectral_derivative_basics():
     sd = spectral_derivative(P_REF, 2.0, EstimandTag.GAMMA)
-    assert sd.method == "central-difference"
     assert sd.step == FD_STEP_DEFAULT
     assert sd.near_degenerate_pairs == ()
     # trace conservation: eigenvalue derivatives sum to zero

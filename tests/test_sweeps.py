@@ -74,7 +74,7 @@ def test_sweep_deterministic_across_parallelism():
 def test_sweep_csv_shape():
     text = sweep_to_csv(run_sweep(small_time_sweep()))
     lines = text.split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "axis,f_total,f_c,f_p,f_m,crb"
     assert lines[-1] == ""          # trailing newline
     assert len(lines) == 7
     body = lines[1:-1]
@@ -114,6 +114,22 @@ def test_sweep_json_round_trip():
     assert parsed["rows"][0]["crb"] == "inf"
     assert isinstance(parsed["rows"][1]["f_total"], float)
     assert parsed["provenance"]["engine"] == "chargeqfi"
+
+
+def test_sweep_json_echoes_each_model_field():
+    # a model name whose fields differ is echoed field by field, so that the
+    # config block holds every value the run used
+    p = dataclasses.replace(P_OFF, e_j2=0.3)
+    res = run_sweep(SweepConfig(params=p, estimand=EstimandTag.EJ, axis="time",
+                                axis_start=1.0, axis_end=2.0, points=2))
+    config = json.loads(sweep_to_json(res))["config"]
+    assert [key for key in config if key in ("ej", "e_j1", "e_j2")] == ["e_j1", "e_j2"]
+    assert (config["e_j1"], config["e_j2"]) == (0.12, 0.3)
+    assert {name: config[name] for name in ("gamma", "em", "ec1", "ec2", "ng1", "ng2")} == \
+        {"gamma": 0.35, "em": 0.15, "ec1": 0.9, "ec2": 1.15, "ng1": 0.46, "ng2": 0.55}
+    # equal fields keep their one external name
+    config = json.loads(sweep_to_json(run_sweep(small_time_sweep(points=2))))["config"]
+    assert config["ej"] == 0.1 and "e_j1" not in config and "e_j2" not in config
 
 
 def test_sweep_axes_move_the_right_parameter():
