@@ -11,7 +11,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def kappa_coefficients(p: SystemParams) -> tuple[float, float]:
     """Effective charge-sector coefficients (kappa1, kappa2) of the Hamiltonian.
 
     kappa1 = 2 E_c1 (1 - 2 n_g1) + E_m (1 - 2 n_g2), and symmetrically for
-    kappa2, of scalar fields or of broadcastable arrays (hamiltonian_stack).
+    kappa2, of scalar fields or of broadcastable arrays (dynamics.liouvillian_stack).
     Both vanish exactly at n_g1 = n_g2 = 1/2.
     """
     k1 = 2.0 * p.e_c1 * (1.0 - 2.0 * p.n_g1) + p.e_m * (1.0 - 2.0 * p.n_g2)
@@ -112,20 +111,10 @@ def kappa_coefficients(p: SystemParams) -> tuple[float, float]:
     return k1, k2
 
 
-def _hamiltonian(p) -> np.ndarray:
-    k1, k2 = kappa_coefficients(p)
-    return -0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ)
-
-
 def build_hamiltonian(p: SystemParams) -> np.ndarray:
     """4x4 Hamiltonian -1/2 {k1 Z1 + k2 Z2 + EJ1 X1 + EJ2 X2 - 2 Em Z1 Z2}."""
-    return _readonly(_hamiltonian(p))
-
-
-def hamiltonian_stack(rows: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) Hamiltonians of (n, 8) param_rows, as one broadcast expression;
-    slice k is bit-identical to build_hamiltonian of the set of row k."""
-    return _hamiltonian(SimpleNamespace(**dict(zip(PARAM_FIELDS, rows.T[..., None, None]))))
+    k1, k2 = kappa_coefficients(p)
+    return _readonly(-0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ))
 
 
 def state_faults(mats: np.ndarray) -> list:

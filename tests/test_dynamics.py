@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,10 @@ from chargeqfi.dynamics import (
 )
 from chargeqfi import dynamics, model
 from chargeqfi.errors import ContractViolationError
+from chargeqfi.qfi import FD_STEP_DEFAULT, EstimandTag
+from chargeqfi.sweeps import FIGURES, SweepConfig, run_sweep, sweep_to_csv
 from chargeqfi.model import (
+    PARAM_FIELDS,
     DensityMatrix,
     SystemParams,
     as_matrix,
@@ -334,13 +338,86 @@ EDGE_PARAMS = [SystemParams(e_j1=-0.2, e_j2=-0.0, e_m=-0.15, n_g1=0.55, n_g2=-0.
                SystemParams(e_c1=-0.0, e_c2=2, e_j1=0.0, e_j2=-0.1, e_m=-0.0, gamma=-0.0)]
 
 
-def test_liouvillian_stack_is_the_kron_formula_bit_for_bit():
-    params = MIXED_PARAMS + EDGE_PARAMS
-    stack = liouvillian_stack(param_rows(params))
-    assert stack.shape == (len(params), 16, 16)
-    for p, mat in zip(params, stack):
+def params_of_row(row):
+    return SystemParams(**dict(zip(PARAM_FIELDS, row.tolist())))
+
+
+def derivative_rows(params, h=FD_STEP_DEFAULT):
+    """Each set's row and its +h and -h rows for every estimand, as the derivative core shifts them."""
+    rows = [param_rows([p])[0] for p in params]
+    for p in params:
+        for eta in EstimandTag:
+            cols = [PARAM_FIELDS.index(name) for name in eta.fields]
+            for step in (h, -h):
+                row = param_rows([p])[0]
+                row[cols] += step
+                rows.append(row)
+    return np.array(rows)
+
+
+def test_liouvillian_stack_is_the_kron_formula_bit_for_bit_at_degeneracy():
+    # every entry of a degenerate generator is one exact product in both formulas
+    presets = [p for spec in FIGURES.values() for _, p in spec.curves]
+    assert len(presets) == 24
+    rng = np.random.default_rng(22)
+    seeded = [SystemParams.degenerate(e_j, e_m, gamma)
+              for e_j, e_m, gamma in rng.uniform([0.0, 0.0, 2 * FD_STEP_DEFAULT], 1.0, (64, 3))]
+    rows = derivative_rows(presets + seeded)
+    stack = liouvillian_stack(rows)
+    for row, mat in zip(rows, stack):
+        p = params_of_row(row)
+        assert p.degenerate_identical()
         assert mat.tobytes() == kron_liouvillian(p).tobytes()
-        assert build_liouvillian(p).matrix.tobytes() == kron_liouvillian(p).tobytes()
+
+
+def test_liouvillian_stack_is_the_kron_formula_bit_for_bit_on_dyadic_sets():
+    # off degeneracy the formulas sum in different orders; with dyadic fields
+    # every product and sum is exact, so the order cannot show
+    rng = np.random.default_rng(23)
+    params = [SystemParams(*(rng.integers(-16, 17, 7) / 16), gamma=rng.integers(0, 17) / 16)
+              for _ in range(64)]
+    params += [SystemParams(e_c1=1.5, e_c2=0.75, e_j1=0.25, e_j2=0.375, e_m=0.125,
+                            n_g1=0.25, n_g2=0.625, gamma=0.5)]
+    assert sum(not p.degenerate_identical() for p in params) >= 60
+    for p, mat in zip(params, liouvillian_stack(param_rows(params))):
+        assert mat.tobytes() == kron_liouvillian(p).tobytes()
+
+
+def exact_liouvillian(p):
+    """(real, imaginary) parts of the generator in fractions.Fraction, from the
+    exact binary values of the fields."""
+    f = {name: Fraction(getattr(p, name)) for name in PARAM_FIELDS}
+    k1 = 2 * f["e_c1"] * (1 - 2 * f["n_g1"]) + f["e_m"] * (1 - 2 * f["n_g2"])
+    k2 = 2 * f["e_c2"] * (1 - 2 * f["n_g2"]) + f["e_m"] * (1 - 2 * f["n_g1"])
+    z1, z2, x1, x2, zz = (m.real.astype(int).astype(object)
+                          for m in (model.Z1, model.Z2, model.X1, model.X2, model.ZZ))
+    h = Fraction(-1, 2) * (k1 * z1 + k2 * z2 + f["e_j1"] * x1 + f["e_j2"] * x2 - 2 * f["e_m"] * zz)
+    eye = np.eye(4, dtype=int).astype(object)
+    dephasing = sum(2 * np.kron(sz, sz) - 2 * np.kron(eye, eye) for sz in (z1, z2))  # Zj^2 = I
+    return f["gamma"] / 8 * dephasing, -(np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def test_liouvillian_stack_is_within_2_ulp_of_the_exact_generator():
+    params = list(dict.fromkeys(MIXED_PARAMS + EDGE_PARAMS))
+    for p, mat in zip(params, liouvillian_stack(param_rows(params))):
+        bound = 2 * np.spacing(np.abs(mat).max())
+        for part, exact in zip((mat.real, mat.imag), exact_liouvillian(p)):
+            err = max(abs(Fraction(float(x)) - e) for x, e in zip(part.ravel(), exact.ravel()))
+            assert err <= bound
+
+
+def test_liouvillian_stack_slices_are_the_generators_built_alone():
+    # the stack is one BLAS product, whose kernels may depend on the stack size
+    rng = np.random.default_rng(24)
+    for n in [*range(1, 131), 603]:
+        rows = rng.uniform(-1.0, 1.0, (n, 8))
+        rows[:, PARAM_FIELDS.index("gamma")] **= 2
+        stack = liouvillian_stack(rows)
+        assert stack.shape == (n, 16, 16)
+        for row, mat in zip(rows, stack):
+            assert mat.tobytes() == liouvillian_stack(row[np.newaxis])[0].tobytes()
+    p = params_of_row(rows[0])
+    assert build_liouvillian(p).matrix.tobytes() == stack[0].tobytes()
 
 
 def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
@@ -366,7 +443,7 @@ def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
     assert [len(rows) for rows in builds] == [3, 2]
     assert len(generators) == len(MIXED_PARAMS)
     for p, generator in zip(MIXED_PARAMS, generators):
-        assert generator.tobytes() == kron_liouvillian(p).tobytes()
+        assert generator.tobytes() == build_liouvillian(p).matrix.tobytes()
     # rows that differ only by the sign of a zero are one set, as SystemParams
     # are: the first one builds the generator of both
     builds.clear()
@@ -387,6 +464,21 @@ def test_rk_route_never_builds_the_generator(monkeypatch):
         propagate_expm(BELL, P_OFF, 1.0)
     assert lindblad_rhs(BELL, P_OFF).shape == (4, 4)
     assert max_abs_diff(propagate_rk(BELL, P_OFF, 1.0).mat, oracle) < 1e-7
+
+
+def test_exponential_route_never_builds_the_hamiltonian(monkeypatch):
+    def no_hamiltonian(*args):
+        raise AssertionError("the Hamiltonian was built")
+
+    cfg = SweepConfig(params=P_OFF, estimand=EstimandTag.EM, axis="time",
+                      axis_start=0.5, axis_end=2.0, points=5)
+    expected = propagate_expm(BELL, P_OFF, 1.0).mat, sweep_to_csv(run_sweep(cfg))
+    for module in (model, dynamics):
+        monkeypatch.setattr(module, "build_hamiltonian", no_hamiltonian)
+    with pytest.raises(AssertionError, match="Hamiltonian was built"):
+        propagate_rk(BELL, P_OFF, 1.0)
+    assert propagate_expm(BELL, P_OFF, 1.0).mat.tobytes() == expected[0].tobytes()
+    assert sweep_to_csv(run_sweep(cfg)) == expected[1]
 
 
 def test_rhs_dephasing_is_the_operator_form():
