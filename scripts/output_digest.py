@@ -11,8 +11,9 @@ when every output below is byte-identical, so a change meant to keep the
 numbers can be compared with its parent. Each --drop TEXT is removed from
 every output before hashing, to compare across a deliberate rewording of
 one message. --per-output first prints one `label sha256` line per output,
-the label being the output's position and its first line, so that two
-listings can be diffed to name the outputs that moved.
+the label being the output's position and its first line (after the
+function's name for d_rho and spectral_derivative, which share a first
+line), so that two listings can be diffed to name the outputs that moved.
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
@@ -37,10 +38,10 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   near_degenerate_pairs, or the exception class and text) for 3 estimands
   x t in {0, 1e-6, 1, 2, 7.5, -1, 1e300} x h in {1e-4, 1e-8, 1e-2} at both
   points.
-- the states and fault texts of one propagate_many call over EXPM_CHUNK + 37
-  parameter sets that interleave off-degenerate and degenerate ones, so that
-  a set recurs within and across expm chunks (sweeps and presets only hold
-  contiguous blocks of equal sets).
+- the states of one propagate_checked call, and their state_faults texts,
+  over EXPM_CHUNK + 37 parameter sets that interleave off-degenerate and
+  degenerate ones, so that a set recurs within and across expm chunks
+  (sweeps and presets only hold contiguous blocks of equal sets).
 - spectral_decompose (eigenvalue, eigenvector and clamped bytes and
   n_clamped, or the exception class and text) of the Bell state, an evolved
   state, eye(4)/4, and of four matrices that are not states: a non-finite,
@@ -117,20 +118,21 @@ def derivative_bytes(model, qfi, flags) -> list:
                                         for a in arrays)
                         if fn is qfi.spectral_derivative:
                             body += f"{value.step!r} {value.near_degenerate_pairs}".encode()
-                    outputs.append(head + body)
+                    outputs.append((fn.__name__, head + body))
     return outputs
 
 
 def interleaved_states(dynamics, model) -> bytes:
-    """States and faults of one propagate_many call whose parameter sets cycle
-    p, q, p, q with 4 off-degenerate and 3 degenerate sets (gamma 0 among them)."""
+    """States of one propagate_checked call, and their state_faults, whose parameter
+    sets cycle p, q, p, q with 4 off-degenerate and 3 degenerate sets (gamma 0 among them)."""
     off = [model.SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=g)
            for g in (0.0, 0.1, 0.3, 0.5)]
     deg = [model.SystemParams.degenerate(e_j=e, e_m=e, gamma=0.4) for e in (0.05, 0.1, 0.2)]
     n = dynamics.EXPM_CHUNK + 37
     params = [off[k // 2 % 4] if k % 2 == 0 else deg[k // 2 % 3] for k in range(n)]
     times = [0.037 * k for k in range(n)]
-    mats, faults = dynamics.propagate_many(model.bell_state_psi_plus(), params, times)
+    mats = dynamics.propagate_checked(model.bell_state_psi_plus(), params, times)
+    faults = model.state_faults(mats)
     return f"{mats.dtype} {mats.shape} {[str(f) for f in faults]}".encode() + mats.tobytes()
 
 
@@ -225,6 +227,8 @@ def main(argv=None) -> int:
         outputs = collect(args.checkout.resolve(), Path(tmp))
     digest = hashlib.sha256()
     for index, output in enumerate(outputs):
+        # a (name, bytes) output is labelled with its function's name; the name is not hashed
+        name, output = output if isinstance(output, tuple) else ("", output)
         # the temporary directory's name differs from run to run
         output = output.replace(tmp.encode(), b"TMP")
         for text in args.drop:
@@ -233,6 +237,7 @@ def main(argv=None) -> int:
         digest.update(len(output).to_bytes(8, "little") + output)
         if args.per_output:
             label = output.split(b"\n", 1)[0][:120].decode("ascii", "backslashreplace")
+            label = f"{name} {label}" if name else label
             print(f"{index:03d} {label} {hashlib.sha256(output).hexdigest()}")
     print(digest.hexdigest())
     return 0

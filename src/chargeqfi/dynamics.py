@@ -6,18 +6,19 @@ The right-hand side is -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho
 entrywise: rho times a constant 4x4 mask with entries 0, -4 and -8.
 
 The authoritative propagator is the matrix exponential of the Liouvillian
-(scaling-and-squaring), applied to batches of states by propagate_many. The
-Liouvillian is linear in its coefficients (kappa1, kappa2, e_j1, e_j2, e_m,
-gamma) and is built as their product with six constant generators, so this
-route builds no Hamiltonian. An adaptive Runge-Kutta integration of the
-right-hand side is an independent cross-check; it builds H once per
-integration and never touches the 16x16 generator. The two routes share only
-model.kappa_coefficients. Both check each time once (check_time) and each
-output state once against the single state contract (model.state_faults,
-which DensityMatrix applies); neither has a check of its own. The closed-form
-rho(t) at the degeneracy point is kept exactly as derived even though its
-lambda3 radicand is dimensionally suspect; audit_analytic measures its
-deviation from propagate_many instead of fixing it.
+(scaling-and-squaring). One batch core, _propagate_rows, builds and
+exponentiates every generator: propagate_expm is a one-point call of it and
+propagate_checked a batch call. The Liouvillian is linear in its coefficients
+(kappa1, kappa2, e_j1, e_j2, e_m, gamma), a product with six constant
+generators, so this route builds no Hamiltonian. An adaptive Runge-Kutta
+integration of the right-hand side is an independent cross-check; it builds H
+once per integration and never touches the 16x16 generator. The two routes
+share only model.kappa_coefficients. Both check each time once (check_time)
+and each state once against the single state contract (model.state_faults,
+which DensityMatrix applies); the core returns bare states, so each of its
+callers applies the contract. The closed-form rho(t) at the degeneracy point
+is kept exactly as derived even though its lambda3 radicand is dimensionally
+suspect; audit_analytic measures its deviation from propagate_checked.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from .model import (
     kappa_coefficients,
     param_rows,
     _readonly,
-    _state_contract,
+    state_faults,
 )
 
-# generators exponentiated per expm call in propagate_many
+# generators exponentiated per expm call in _propagate_rows
 EXPM_CHUNK = 128
 
 # (256, 2) masks of the entries below (row > column) and above the diagonal of a flat 16x16
@@ -133,7 +134,7 @@ def liouvillian_stack(rows: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(p: SystemParams) -> Liouvillian:
-    """Generator L with unvec(L vec(rho)) = lindblad_rhs(rho) for every rho."""
+    """Generator L with unvec(L vec(rho)) = lindblad_rhs(rho); no propagator calls it."""
     generator = liouvillian_stack(param_rows([p]))[0]
     return Liouvillian(matrix=_readonly(generator))
 
@@ -167,21 +168,13 @@ def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
     return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 
-def propagate_many(rho0, params, times) -> tuple[np.ndarray, list]:
-    """propagate_expm over paired sequences of SystemParams and times >= 0.
+def _propagate_rows(rho0, rows: np.ndarray, times) -> np.ndarray:
+    """unvec(expm(L(p) t) vec(rho0)) per param_rows row p of a valid SystemParams
+    and paired time t, as an (n, 4, 4) stack; neither times nor states are checked.
 
-    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's distinct
-    parameter rows and one stacked expm call; each state is bit-identical to
-    propagate_expm's, whatever the chunking. Returns the (n, 4, 4) stack of
-    states and, per state, its state_faults entry: the ContractViolationError
-    that propagate_expm raises for it, or None. Times are not checked here.
+    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's distinct rows
+    and one stacked expm call; each state is bit-identical whatever the chunking.
     """
-    return _propagate_rows(rho0, param_rows(params), times)[:2]
-
-
-def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple:
-    """propagate_many over the param_rows of valid SystemParams, plus the state
-    contract's eigh: (states, faults, (solved, vals, vecs)), see _state_contract."""
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
     chunks = [np.empty((0, 4, 4), dtype=complex)]
     # in chunks, so that the generator stacks held at once do not grow with len(rows)
@@ -189,35 +182,35 @@ def _propagate_rows(rho0, rows: np.ndarray, times) -> tuple:
         distinct = {}  # distinct rows by first appearance; -0.0 == 0.0, as in SystemParams
         inverse = [distinct.setdefault(row, len(distinct))
                    for row in map(tuple, rows[s:s + EXPM_CHUNK].tolist())]
-        # a huge field overflows here; state_faults reports the state it gives
+        # a huge field overflows here; the state contract reports the state it gives
         with np.errstate(over="ignore", invalid="ignore"):
             generators = liouvillian_stack(np.array(list(distinct)))[inverse] * times[s:s + EXPM_CHUNK]
         chunks.append(expm_states(rho0, generators))
-    mats = np.concatenate(chunks)
-    return (mats, *_state_contract(mats))
+    return np.concatenate(chunks)
 
 
 def propagate_checked(rho0, params, times) -> np.ndarray:
-    """propagate_many that checks every time before any state, then raises
-    the first state's ContractViolationError; returns the (n, 4, 4) stack."""
+    """rho0 propagated to paired SystemParams and times >= 0, as an (n, 4, 4) stack.
+
+    ValueError on unequal lengths, then every time is checked before any state;
+    raises the first state's ContractViolationError.
+    """
+    if len(params) != len(times):
+        raise ValueError(f"{len(params)} parameter sets but {len(times)} times")
     for t in times:
         check_time(t)
-    mats, faults = propagate_many(rho0, params, times)
-    for fault in faults:
+    mats = _propagate_rows(rho0, param_rows(params), times)
+    for fault in state_faults(mats):
         if fault is not None:
             raise fault
     return mats
 
 
 def propagate_expm(rho0, p: SystemParams, t: float) -> DensityMatrix:
-    """Propagate rho0 to time t via expm(L t) acting on vec(rho0).
-
-    Exact up to the matrix-exponential kernel; this is the authoritative
-    route used by the Fisher-information layer.
-    """
+    """Propagate rho0 to time t via expm(L t) acting on vec(rho0), as a one-point
+    _propagate_rows call; exact up to the matrix-exponential kernel."""
     check_time(t)
-    generator = build_liouvillian(p).matrix * t
-    return DensityMatrix(expm_states(rho0, generator[np.newaxis])[0])
+    return DensityMatrix(_propagate_rows(rho0, param_rows([p]), [t])[0])
 
 
 def propagate_rk(rho0, p: SystemParams, t: float) -> DensityMatrix:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
-from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows, _readonly
+from .model import (MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows,
+                    _readonly, _state_contract)
 from .dynamics import check_time, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
@@ -142,8 +143,9 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     domain (t, step) fault at all three. The arrays run over the points in
     domain, ks: base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
     base states, derivatives is (d_eigenvalues, d_eigenvectors, d_rho). One
-    row-level propagate_many, whose state contract takes the one batched
-    eigh, and one matching call serve all points and sides.
+    _propagate_rows call, one state contract over its stack, whose one batched
+    eigh the decomposition reuses, and one matching call serve all points and
+    sides.
     """
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
@@ -162,7 +164,8 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     cols = [PARAM_FIELDS.index(name) for name in eta.fields]
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    _, state_faults, eigh = _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3)
+    state_faults, eigh = _state_contract(
+        _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3))
     # a point with a faulty state fails before any eigen result of it is read; the
     # contract's stand-in keeps a non-finite or huge state out of the sums' warnings
     states = eigh[0]

@@ -36,7 +36,7 @@ P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
 
 
 @pytest.mark.parametrize("call,batches", [
-    # one propagate_many call over the grid, in chunks of at most 128 generators
+    # one propagate_checked call over the grid, in chunks of at most 128 generators
     pytest.param(["evolve", "--points", "201", *REF_FLAGS], [128, 73], id="evolve"),
     pytest.param(["audit", "--points", "21", *REF_FLAGS], [21], id="audit"),
     # the base, +h and -h states in one stack; d_rho reports the base state's

@@ -25,9 +25,10 @@ from chargeqfi.dynamics import (
     check_time,
     lindblad_rhs,
     liouvillian_stack,
+    propagate_checked,
     propagate_expm,
-    propagate_many,
     propagate_rk,
+    _propagate_rows,
 )
 from chargeqfi import dynamics, model
 from chargeqfi.errors import ContractViolationError
@@ -217,18 +218,22 @@ def test_propagated_states_meet_the_positivity_floor_alone(lowest, offset, fault
 
 def _assert_contract_alone(rho0, fault):
     # expm(L 0) is exactly the identity, so rho0 comes back unchanged
-    mats, faults = propagate_many(rho0, [P_REF], [0.0])
+    mats = _propagate_rows(rho0, param_rows([P_REF]), [0.0])
+    faults = state_faults(mats)
     assert np.array_equal(mats[0], rho0)
     expected = state_faults(rho0[np.newaxis])[0]
     if fault is None:
         assert faults == [None] and expected is None
         assert np.array_equal(propagate_expm(rho0, P_REF, 0.0).mat, rho0)
+        assert np.array_equal(propagate_checked(rho0, [P_REF], [0.0])[0], rho0)
         return
     assert str(expected).startswith(fault)
     assert str(faults[0]) == str(expected)
-    with pytest.raises(ContractViolationError) as single:
-        propagate_expm(rho0, P_REF, 0.0)
-    assert str(single.value) == str(expected)
+    for propagate in (lambda: propagate_expm(rho0, P_REF, 0.0),
+                      lambda: propagate_checked(rho0, [P_REF], [0.0])):
+        with pytest.raises(ContractViolationError) as single:
+            propagate()
+        assert str(single.value) == str(expected)
 
 
 @pytest.mark.parametrize("propagate", [propagate_expm, propagate_rk])
@@ -252,7 +257,7 @@ def test_each_propagator_call_checks_its_state_once(monkeypatch, propagate):
     assert calls == [1]
 
 
-def test_propagate_many_equals_propagate_expm_across_chunks():
+def test_propagate_rows_equals_propagate_expm_across_chunks():
     # more states than one expm chunk holds, with mixed parameter sets; one
     # time overflows the exponential and must fail alone
     p_off = SystemParams(e_j1=0.2, e_j2=0.3, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
@@ -260,7 +265,8 @@ def test_propagate_many_equals_propagate_expm_across_chunks():
     times = [0.05 * k for k in range(len(params))]
     bad = EXPM_CHUNK + 3
     times[bad] = 1e300
-    mats, faults = propagate_many(BELL, params, times)
+    mats = _propagate_rows(BELL, param_rows(params), times)
+    faults = state_faults(mats)
     assert mats.shape == (len(params), 4, 4)
     for k, (p, t) in enumerate(zip(params, times)):
         if k == bad:
@@ -271,12 +277,30 @@ def test_propagate_many_equals_propagate_expm_across_chunks():
         else:
             assert faults[k] is None
             assert np.array_equal(mats[k], propagate_expm(BELL, p, t).mat)
+    with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
+        propagate_checked(BELL, params, times)
+    good = [k for k in range(len(params)) if k != bad]
+    checked = propagate_checked(BELL, [params[k] for k in good], [times[k] for k in good])
+    assert checked.tobytes() == mats[good].tobytes()
 
 
-def test_propagate_many_empty_batch():
-    mats, faults = propagate_many(BELL, [], [])
+def test_propagate_rows_empty_batch():
+    mats = _propagate_rows(BELL, param_rows([]), [])
     assert mats.shape == (0, 4, 4)
-    assert faults == []
+    assert state_faults(mats) == []
+    assert propagate_checked(BELL, [], []).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("n_params,n_times", [(1, 2), (130, 129), (2, 3), (1, 0)])
+def test_propagate_checked_rejects_unequal_lengths(monkeypatch, n_params, n_times):
+    def no_propagation(*args):
+        raise AssertionError("a state was propagated")
+
+    monkeypatch.setattr(dynamics, "_propagate_rows", no_propagation)
+    # the lengths are checked before any time, so an invalid time does not speak first
+    times = [-1.0] * n_times
+    with pytest.raises(ValueError, match=f"^{n_params} parameter sets but {n_times} times$"):
+        propagate_checked(BELL, [P_REF] * n_params, times)
 
 
 def test_expm_states_is_scipy_expm_byte_for_byte():
@@ -420,7 +444,7 @@ def test_liouvillian_stack_slices_are_the_generators_built_alone():
     assert build_liouvillian(p).matrix.tobytes() == stack[0].tobytes()
 
 
-def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
+def test_propagate_rows_builds_each_distinct_set_once_per_chunk(monkeypatch):
     builds, generators = [], []
 
     def counting_stack(rows):
@@ -435,7 +459,7 @@ def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
     monkeypatch.setattr(dynamics, "liouvillian_stack", counting_stack)
     monkeypatch.setattr(dynamics, "expm_states", recording_expm_states)
     # at t = 1 each generator reaches expm unscaled
-    propagate_many(BELL, MIXED_PARAMS, [1.0] * len(MIXED_PARAMS))
+    propagate_checked(BELL, MIXED_PARAMS, [1.0] * len(MIXED_PARAMS))
     chunks = [MIXED_PARAMS[s:s + EXPM_CHUNK] for s in range(0, len(MIXED_PARAMS), EXPM_CHUNK)]
     # each chunk builds its distinct rows, in order of first appearance
     assert [rows.tobytes() for rows in builds] == [
@@ -449,7 +473,7 @@ def test_propagate_many_builds_each_distinct_set_once_per_chunk(monkeypatch):
     builds.clear()
     signed = [SystemParams(e_m=-0.0), SystemParams(e_m=0.0)]
     assert signed[0] == signed[1]
-    propagate_many(BELL, signed, [1.0, 1.0])
+    propagate_checked(BELL, signed, [1.0, 1.0])
     assert [rows.tobytes() for rows in builds] == [param_rows(signed[:1]).tobytes()]
 
 
@@ -479,6 +503,45 @@ def test_exponential_route_never_builds_the_hamiltonian(monkeypatch):
         propagate_rk(BELL, P_OFF, 1.0)
     assert propagate_expm(BELL, P_OFF, 1.0).mat.tobytes() == expected[0].tobytes()
     assert sweep_to_csv(run_sweep(cfg)) == expected[1]
+
+
+def test_exponential_route_never_builds_a_single_generator(monkeypatch):
+    def no_single_generator(*args):
+        raise AssertionError("build_liouvillian was called")
+
+    cfg = SweepConfig(params=P_OFF, estimand=EstimandTag.EM, axis="time",
+                      axis_start=0.5, axis_end=2.0, points=5)
+    grid = (0.5, 1.0, 2.0)
+
+    def outputs():
+        return (propagate_expm(BELL, P_OFF, 1.0).mat.tobytes(),
+                propagate_checked(BELL, [P_OFF] * 3, grid).tobytes(),
+                audit_analytic(P_REF, grid).to_json(), sweep_to_csv(run_sweep(cfg)))
+
+    expected = outputs()
+    monkeypatch.setattr(dynamics, "build_liouvillian", no_single_generator)
+    assert outputs() == expected
+
+
+def test_each_exponential_propagation_eigen_solves_each_state_once(monkeypatch):
+    # the state contract's eigh is the only one, and it runs once over the stack
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    propagate_expm(BELL, P_OFF, 1.0)
+    assert shapes == [(1, 4, 4)]
+    for n in (1, 7, EXPM_CHUNK + 5):
+        shapes.clear()
+        propagate_checked(BELL, [P_OFF] * n, [0.1 * k for k in range(n)])
+        assert shapes == [(n, 4, 4)]
+        shapes.clear()
+        audit_analytic(P_REF, [0.1 * k for k in range(n)])
+        assert shapes == [(n, 4, 4)]
 
 
 def test_rhs_dephasing_is_the_operator_form():

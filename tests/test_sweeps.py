@@ -327,6 +327,8 @@ def test_overflowing_fields_fail_typed_without_warnings():
         for route in (qfi_components, qfi_sld):
             with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
                 route(dataclasses.replace(P_REF, e_m=1e308), 1.0, EstimandTag.GAMMA)
+        with pytest.raises(ContractViolationError, match="^state has non-finite entries$"):
+            propagate_expm(bell_state_psi_plus(), dataclasses.replace(P_REF, e_m=1e308), 1.0)
 
 
 def test_non_finite_states_become_typed_error_rows():
