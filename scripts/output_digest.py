@@ -26,8 +26,9 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   (the closed form overflows from t ~ 887.2);
 - qfi JSON for 3 estimands x t in {0, 1e-6, 1, 2, 7.5, 1e300} at both points;
 - all 12 figure presets at 201 points;
-- gamma (from 0, with its error row), ej, em and time sweeps (the last
-  also to 1e300) off degeneracy, CSV and JSON, for each estimand;
+- gamma (from 0, with its error row, and from -0.3, with its rows of
+  negative gamma), ej, em and time sweeps (the last also to 1e300) off
+  degeneracy, CSV and JSON, for each estimand;
 - one sweep from a --config JSON file (model parameters, an em axis and JSON
   output from the file, --points from a flag), and one precedence run: a
   file setting e, ej and JSON output, with --em and --format csv as flags;
@@ -71,8 +72,8 @@ ESTIMANDS = ("gamma", "ej", "em")
 QFI_TIMES = ("0", "1e-6", "1", "2", "7.5", "1e300")
 DERIVATIVE_TIMES = (0.0, 1e-6, 1.0, 2.0, 7.5, -1.0, 1e300)
 DERIVATIVE_STEPS = (1e-4, 1e-8, 1e-2)
-SWEEP_AXES = (("gamma", "0", "0.6"), ("ej", "0.05", "0.3"), ("em", "0.05", "0.3"),
-              ("time", "0", "10"), ("time", "1", "1e300"))
+SWEEP_AXES = (("gamma", "0", "0.6"), ("gamma", "-0.3", "0.6"), ("ej", "0.05", "0.3"),
+              ("em", "0.05", "0.3"), ("time", "0", "10"), ("time", "1", "1e300"))
 
 
 def import_checkout(checkout: Path):

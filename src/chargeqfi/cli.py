@@ -150,8 +150,11 @@ def _build_parser() -> _Parser:
 def _write_text(path: str | Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -246,7 +249,10 @@ def _cmd_figure(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_dir}: {exc}")
     for label, result in dataset:
         _write_text(out_dir / f"{args.figure_id}_{label}.csv", sweep_to_csv(result))
     return 0

@@ -172,19 +172,16 @@ def _propagate_rows(rho0, rows: np.ndarray, times) -> np.ndarray:
     """unvec(expm(L(p) t) vec(rho0)) per param_rows row p of a valid SystemParams
     and paired time t, as an (n, 4, 4) stack; neither times nor states are checked.
 
-    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's distinct rows
-    and one stacked expm call; each state is bit-identical whatever the chunking.
+    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's rows and one
+    stacked expm call; each state is bit-identical whatever the chunking.
     """
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
     chunks = [np.empty((0, 4, 4), dtype=complex)]
     # in chunks, so that the generator stacks held at once do not grow with len(rows)
     for s in range(0, len(rows), EXPM_CHUNK):
-        distinct = {}  # distinct rows by first appearance; -0.0 == 0.0, as in SystemParams
-        inverse = [distinct.setdefault(row, len(distinct))
-                   for row in map(tuple, rows[s:s + EXPM_CHUNK].tolist())]
         # a huge field overflows here; the state contract reports the state it gives
         with np.errstate(over="ignore", invalid="ignore"):
-            generators = liouvillian_stack(np.array(list(distinct)))[inverse] * times[s:s + EXPM_CHUNK]
+            generators = liouvillian_stack(rows[s:s + EXPM_CHUNK]) * times[s:s + EXPM_CHUNK]
         chunks.append(expm_states(rho0, generators))
     return np.concatenate(chunks)
 

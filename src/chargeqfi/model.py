@@ -80,8 +80,9 @@ class SystemParams:
 def check_field(name: str, value) -> None:
     """ValueError unless value may be SystemParams field name: finite, real, not bool; gamma >= 0.
 
-    The CLI applies it under the names of MODEL_NAMES; SweepConfig applies the
-    finite-real-number rule to its axis bounds, t and fd_step."""
+    The CLI applies it under the names of MODEL_NAMES, the derivative core to
+    each point's gamma, and SweepConfig the finite-real-number rule to its axis
+    bounds, t and fd_step."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if name == "gamma" and value < 0.0:

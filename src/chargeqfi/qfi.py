@@ -14,8 +14,9 @@ the central difference of rho and of the matched eigensystems. qfi_points
 reads both routes from it over a batch of points, d_rho and
 spectral_derivative over one; qfi_components and qfi_sld are one-point
 qfi_points calls. A point reports its first failure in the order: domain
-(t, then the step) -> state contract of the base, +h and -h states -> base
-eigen residual -> shifted eigen residuals -> branch matching -> breakdown floors.
+(gamma < 0, then t, then the step) -> state contract of the base, +h and -h
+states -> base eigen residual -> shifted eigen residuals -> branch matching
+-> breakdown floors.
 d_rho stops after the second, the SLD value after the third and
 spectral_derivative after the fifth.
 """
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
-from .model import (MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, param_rows,
-                    _readonly, _state_contract)
+from .model import (MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, check_field,
+                    param_rows, _readonly, _state_contract)
 from .dynamics import check_time, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
@@ -135,13 +136,14 @@ def _checked(result):
 
 
 def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tuple:
-    """Central differences at the param_rows of valid SystemParams and paired times.
+    """Central differences at param_rows rows of finite fields and paired times.
 
+    Its domain pass is the one place that checks a point's gamma, t and step.
     Returns (ks, faults, base, derivatives). faults[k] is point k's first
     fault (or None) up to each stage: state contract of the base, +h and -h
     states; base eigen residual; shifted eigen residuals and matching; or its
-    domain (t, step) fault at all three. The arrays run over the points in
-    domain, ks: base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
+    domain (gamma, t, step) fault at all three. The arrays run over the points
+    in domain, ks: base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
     base states, derivatives is (d_eigenvalues, d_eigenvectors, d_rho). One
     _propagate_rows call, one state contract over its stack, whose one batched
     eigh the decomposition reuses, and one matching call serve all points and
@@ -150,6 +152,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
         try:
+            check_field("gamma", gamma)
             check_time(t)
             check_step(gamma, eta, h)
             faults.append(None)
@@ -292,7 +295,7 @@ def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
 
 
 def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
-    """qfi_points over the param_rows of valid SystemParams and paired times."""
+    """qfi_points over param_rows rows of finite fields and paired times."""
     ks, faults, (_, vecs, clamped, n_clamped), (d_vals, d_vecs, drho) = \
         _derivative_rows(rows, times, eta, h)
     f_c, f_p, f_m, gauge = _breakdown_sums(clamped, vecs, d_vals, d_vecs)

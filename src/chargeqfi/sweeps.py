@@ -1,13 +1,14 @@
 """Deterministic parameter sweeps and bundled figure presets.
 
-A sweep maps its axis to parameter rows and times and evaluates them all in
-one call of qfi._qfi_rows, the row form of qfi_points, which reads both QFI
-routes from the derivative core qfi._derivative_rows. A point whose axis
-value is not a valid parameter, or whose evaluation fails, becomes an error
-row carrying the message of its first failure, in the order that the qfi
-module docstring gives. Every row is a pure function of the configuration
-and floats are formatted to 17 significant digits, so output bytes do not
-depend on the (accepted, no longer used) parallelism setting.
+A sweep writes every axis value into parameter rows or times and evaluates
+them all in one call of qfi._qfi_rows, the row form of qfi_points, which
+reads both QFI routes from the derivative core qfi._derivative_rows. The
+core checks each value in its domain pass (a negative gamma, t, the step),
+so a point that fails there or later becomes an error row carrying the
+message of its first failure, in the order that the qfi module docstring
+gives. Every row is a pure function of the configuration and floats are
+formatted to 17 significant digits, so output bytes do not depend on the
+(accepted, no longer used) parallelism setting.
 """
 
 from __future__ import annotations
@@ -127,24 +128,14 @@ class SweepResult:
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the sweep; per-point failures become error rows, not crashes."""
     values = [float(v) for v in np.linspace(cfg.axis_start, cfg.axis_end, cfg.points)]
-    # a parameter axis sets the fields its estimand moves; a value they reject is an error row
+    # a parameter axis sets the fields its estimand moves; the derivative core checks each value
     fields = () if cfg.axis == "time" else EstimandTag(cfg.axis).fields
-    field_faults = []
-    for value in values:
-        try:
-            for name in fields:
-                check_field(name, value)
-            field_faults.append(None)
-        except ValueError as exc:
-            field_faults.append(exc)
-    valid = [value for value, fault in zip(values, field_faults) if fault is None]
-    point_rows = np.tile(param_rows([cfg.params]), (len(valid), 1))
-    point_rows[:, [PARAM_FIELDS.index(name) for name in fields]] = np.array(valid)[:, np.newaxis]
-    times = valid if cfg.axis == "time" else [cfg.t] * len(valid)
-    results = iter(_qfi_rows(point_rows, times, cfg.estimand, cfg.fd_step))
+    point_rows = np.tile(param_rows([cfg.params]), (len(values), 1))
+    point_rows[:, [PARAM_FIELDS.index(name) for name in fields]] = np.array(values)[:, np.newaxis]
+    times = values if cfg.axis == "time" else [cfg.t] * len(values)
+    results = _qfi_rows(point_rows, times, cfg.estimand, cfg.fd_step)
     rows, worst = [], 0.0
-    for value, fault in zip(values, field_faults):
-        breakdown, sld = (fault, fault) if fault is not None else next(results)
+    for value, (breakdown, sld) in zip(values, results):
         if isinstance(breakdown, Exception):
             rows.append(SweepRow(axis_value=value, breakdown=None, sld=None, error=str(breakdown)))
         else:

@@ -248,6 +248,20 @@ def test_figure_writes_one_csv_per_curve(tmp_path, capsys):
     assert "\r" not in body
 
 
+@pytest.mark.parametrize("command,target", [
+    # a file under a missing directory, and an output directory that is a file
+    pytest.param(["qfi", "--param", "gamma"], "missing/x.json", id="qfi"),
+    pytest.param(["figure", "fig2a", "--points", "50"], "taken", id="figure"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out_path = tmp_path / target
+    code, out, err = run_cli([*command, "--out", str(out_path)], capsys)
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot write {out_path}: ")
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
+
+
 def test_audit_json_output(capsys):
     code, out, _ = run_cli(["audit", "--t-max", "2.0", "--points", "3", *REF_FLAGS], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Lindblad generator, propagators, and the closed-form audit."""
 
+import dataclasses
 import json
 import os
 import re
@@ -444,7 +445,7 @@ def test_liouvillian_stack_slices_are_the_generators_built_alone():
     assert build_liouvillian(p).matrix.tobytes() == stack[0].tobytes()
 
 
-def test_propagate_rows_builds_each_distinct_set_once_per_chunk(monkeypatch):
+def test_propagate_rows_builds_each_chunk_from_its_rows_as_given(monkeypatch):
     builds, generators = [], []
 
     def counting_stack(rows):
@@ -461,20 +462,29 @@ def test_propagate_rows_builds_each_distinct_set_once_per_chunk(monkeypatch):
     # at t = 1 each generator reaches expm unscaled
     propagate_checked(BELL, MIXED_PARAMS, [1.0] * len(MIXED_PARAMS))
     chunks = [MIXED_PARAMS[s:s + EXPM_CHUNK] for s in range(0, len(MIXED_PARAMS), EXPM_CHUNK)]
-    # each chunk builds its distinct rows, in order of first appearance
-    assert [rows.tobytes() for rows in builds] == [
-        param_rows(list(dict.fromkeys(chunk))).tobytes() for chunk in chunks]
-    assert [len(rows) for rows in builds] == [3, 2]
+    # one build per chunk, over its rows in order, duplicates included
+    assert [rows.tobytes() for rows in builds] == [param_rows(chunk).tobytes() for chunk in chunks]
+    assert [len(rows) for rows in builds] == [EXPM_CHUNK, len(MIXED_PARAMS) - EXPM_CHUNK]
     assert len(generators) == len(MIXED_PARAMS)
     for p, generator in zip(MIXED_PARAMS, generators):
         assert generator.tobytes() == build_liouvillian(p).matrix.tobytes()
-    # rows that differ only by the sign of a zero are one set, as SystemParams
-    # are: the first one builds the generator of both
-    builds.clear()
-    signed = [SystemParams(e_m=-0.0), SystemParams(e_m=0.0)]
-    assert signed[0] == signed[1]
-    propagate_checked(BELL, signed, [1.0, 1.0])
-    assert [rows.tobytes() for rows in builds] == [param_rows(signed[:1]).tobytes()]
+
+
+def test_signed_zero_twins_give_identical_states_and_sweeps():
+    # each row builds its own generator, so a field of -0.0 instead of 0.0,
+    # which SystemParams calls equal, must not show in any output byte
+    for base in (P_REF, P_OFF):
+        for fields in (("e_m",), ("e_j1", "e_j2"), ("gamma",)):
+            twins = [dataclasses.replace(base, **dict.fromkeys(fields, zero)) for zero in (0.0, -0.0)]
+            assert twins[0] == twins[1]
+            for t in (0.0, 1.0, 3.7):
+                plus, minus = (propagate_checked(BELL, [p], [t]) for p in twins)
+                assert plus.tobytes() == minus.tobytes()
+            for eta in EstimandTag:
+                plus, minus = (sweep_to_csv(run_sweep(SweepConfig(
+                    params=p, estimand=eta, axis="time", axis_start=0.0, axis_end=3.7, points=5)))
+                    for p in twins)
+                assert plus == minus
 
 
 def test_rk_route_never_builds_the_generator(monkeypatch):
