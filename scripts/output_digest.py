@@ -42,7 +42,9 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
 - the states of one propagate_checked call, and their state_faults texts,
   over EXPM_CHUNK + 37 parameter sets that interleave off-degenerate and
   degenerate ones, so that a set recurs within and across expm chunks
-  (sweeps and presets only hold contiguous blocks of equal sets).
+  (sweeps and presets only hold contiguous blocks of equal sets), and so
+  that the diagonal generators of e_j1 = e_j2 = 0 sets fall between
+  generic ones inside a chunk.
 - spectral_decompose (eigenvalue, eigenvector and clamped bytes and
   n_clamped, or the exception class and text) of the Bell state, an evolved
   state, eye(4)/4, and of four matrices that are not states: a non-finite,
@@ -125,12 +127,16 @@ def derivative_bytes(model, qfi, flags) -> list:
 
 def interleaved_states(dynamics, model) -> bytes:
     """States of one propagate_checked call, and their state_faults, whose parameter
-    sets cycle p, q, p, q with 4 off-degenerate and 3 degenerate sets (gamma 0 among them)."""
+    sets cycle p, q, p, q with 5 off-degenerate and 4 degenerate sets (gamma 0 among
+    them, and one e_j1 = e_j2 = 0 set in each cycle, whose generator is diagonal)."""
     off = [model.SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=g)
            for g in (0.0, 0.1, 0.3, 0.5)]
+    off.append(model.SystemParams(e_j1=0.0, e_j2=0.0, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3))
     deg = [model.SystemParams.degenerate(e_j=e, e_m=e, gamma=0.4) for e in (0.05, 0.1, 0.2)]
+    deg.append(model.SystemParams.degenerate(e_j=0.0, e_m=0.1, gamma=0.4))
     n = dynamics.EXPM_CHUNK + 37
-    params = [off[k // 2 % 4] if k % 2 == 0 else deg[k // 2 % 3] for k in range(n)]
+    params = [off[k // 2 % len(off)] if k % 2 == 0 else deg[k // 2 % len(deg)]
+              for k in range(n)]
     times = [0.037 * k for k in range(n)]
     mats = dynamics.propagate_checked(model.bell_state_psi_plus(), params, times)
     faults = model.state_faults(mats)

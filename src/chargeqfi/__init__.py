@@ -15,7 +15,6 @@ from .dynamics import (
     AuditReport,
     Liouvillian,
     analytic_coefficients,
-    analytic_state,
     analytic_state_matrix,
     audit_analytic,
     build_liouvillian,
@@ -57,8 +56,8 @@ __all__ = [
     "DensityMatrix", "SystemParams", "bell_state_psi_plus", "build_hamiltonian",
     "kappa_coefficients",
     "AnalyticCoefficients", "AuditReport", "Liouvillian", "analytic_coefficients",
-    "analytic_state", "analytic_state_matrix", "audit_analytic", "build_liouvillian",
-    "lindblad_rhs", "propagate_expm", "propagate_rk",
+    "analytic_state_matrix", "audit_analytic", "build_liouvillian", "lindblad_rhs",
+    "propagate_expm", "propagate_rk",
     "AnalyticEigensystem", "EigStructureParams", "SpectralDecomposition",
     "analytic_eigensystem", "spectral_decompose",
     "EstimandTag", "QfiBreakdown", "SpectralDerivative", "cramer_rao", "d_rho",

@@ -148,13 +148,15 @@ def _build_parser() -> _Parser:
 
 
 def _write_text(path: str | Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        if path is None:
+            # flushed here, so that a full stdout fails now and not at interpreter exit
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
+        raise _UsageError(f"cannot write {'stdout' if path is None else path}: {exc}")
 
 
 def _time_grid(args) -> np.ndarray:

@@ -6,19 +6,20 @@ The right-hand side is -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho
 entrywise: rho times a constant 4x4 mask with entries 0, -4 and -8.
 
 The authoritative propagator is the matrix exponential of the Liouvillian
-(scaling-and-squaring). One batch core, _propagate_rows, builds and
-exponentiates every generator: propagate_expm is a one-point call of it and
-propagate_checked a batch call. The Liouvillian is linear in its coefficients
-(kappa1, kappa2, e_j1, e_j2, e_m, gamma), a product with six constant
-generators, so this route builds no Hamiltonian. An adaptive Runge-Kutta
-integration of the right-hand side is an independent cross-check; it builds H
-once per integration and never touches the 16x16 generator. The two routes
-share only model.kappa_coefficients. Both check each time once (check_time)
-and each state once against the single state contract (model.state_faults,
-which DensityMatrix applies); the core returns bare states, so each of its
-callers applies the contract. The closed-form rho(t) at the degeneracy point
-is kept exactly as derived even though its lambda3 radicand is dimensionally
-suspect; audit_analytic measures its deviation from propagate_checked.
+(scaling-and-squaring). One batch core, _propagate_rows, builds every
+generator and exponentiates it, one slice at a time in expm_states:
+propagate_expm is a one-point call of the core and propagate_checked a batch
+call. The Liouvillian is linear in its coefficients (kappa1, kappa2, e_j1,
+e_j2, e_m, gamma), a product with six constant generators, so this route
+builds no Hamiltonian. An adaptive Runge-Kutta integration of the right-hand
+side is an independent cross-check; it builds H once per integration and
+never touches the 16x16 generator. The two routes share only
+model.kappa_coefficients. Both check each time once (check_time) and each
+state once against the single state contract (model.state_faults, which
+DensityMatrix applies); the core returns bare states, so each of its callers
+applies the contract. The closed-form rho(t) at the degeneracy point is kept
+exactly as derived even though its lambda3 radicand is dimensionally suspect;
+audit_analytic measures its deviation from propagate_checked.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress, count
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,11 +112,6 @@ def _rhs(r: np.ndarray, h: np.ndarray, damping: np.ndarray) -> np.ndarray:
     return -1j * (h @ r - r @ h) + damping * r
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    # column stacking
-    return np.asarray(mat).reshape(16, order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """16x16 generator acting on column-stacked density matrices."""
@@ -142,16 +137,20 @@ def build_liouvillian(p: SystemParams) -> Liouvillian:
 def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
     """unvec(expm(G) vec(rho0)) for each G of an (n, 16, 16) stack, as (n, 4, 4).
 
-    Each slice is bit-identical to scipy.linalg.expm of it alone: a slice with
-    nonzero (or nan) entries both below and above the diagonal runs scipy's Pade
-    kernels (scipy >= 1.17) as scipy's per-slice loop does, without its overhead;
-    a diagonal or triangular one (t = 0, e_j = 0) goes to scipy.linalg.expm.
+    One loop over the slices, each bit-identical to scipy.linalg.expm of it
+    alone: a slice with nonzero (or nan) entries both below and above the
+    diagonal runs scipy's Pade kernels (scipy >= 1.17) as scipy's per-slice loop
+    does, without its bandwidth test; any other slice (t = 0, e_j = 0,
+    triangular) goes to scipy.linalg.expm.
     """
-    generic = ((generators != 0).reshape(-1, 256) @ _OFF_DIAGONAL_HALVES).all(axis=1).tolist()
+    generic = ((generators != 0).reshape(-1, 256) @ _OFF_DIAGONAL_HALVES).all(axis=1)
     out = np.empty_like(generators)
     work = np.empty((5, 16, 16), dtype=generators.dtype)
-    for k in compress(count(), generic):
-        work[0] = generators[k]
+    for k, g in enumerate(generators):
+        if not generic[k]:
+            out[k] = expm(g)
+            continue
+        work[0] = g
         m, s = pick_pade_structure(work)  # scales work[0] by 2**-s
         if m < 0:
             raise MemoryError(f"expm could not allocate its Pade workspace (error code {m})")
@@ -161,10 +160,7 @@ def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
         out[k] = work[0]
         for _ in range(s):
             out[k] = out[k] @ out[k]
-    rest = [k for k, is_generic in enumerate(generic) if not is_generic]
-    if rest:
-        out[rest] = expm(generators[rest])
-    vecs = out @ _vec(as_matrix(rho0))
+    vecs = out @ as_matrix(rho0).reshape(16, order="F")
     return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 
@@ -172,18 +168,18 @@ def _propagate_rows(rho0, rows: np.ndarray, times) -> np.ndarray:
     """unvec(expm(L(p) t) vec(rho0)) per param_rows row p of a valid SystemParams
     and paired time t, as an (n, 4, 4) stack; neither times nor states are checked.
 
-    Per EXPM_CHUNK states, one liouvillian_stack of the chunk's rows and one
-    stacked expm call; each state is bit-identical whatever the chunking.
+    Per EXPM_CHUNK states, one liouvillian_stack and one expm_states call, written
+    into one preallocated stack; each state is bit-identical whatever the chunking.
     """
     times = np.asarray(times, dtype=float)[:, np.newaxis, np.newaxis]
-    chunks = [np.empty((0, 4, 4), dtype=complex)]
+    states = np.empty((len(rows), 4, 4), dtype=complex)
     # in chunks, so that the generator stacks held at once do not grow with len(rows)
     for s in range(0, len(rows), EXPM_CHUNK):
         # a huge field overflows here; the state contract reports the state it gives
         with np.errstate(over="ignore", invalid="ignore"):
             generators = liouvillian_stack(rows[s:s + EXPM_CHUNK]) * times[s:s + EXPM_CHUNK]
-        chunks.append(expm_states(rho0, generators))
-    return np.concatenate(chunks)
+        states[s:s + EXPM_CHUNK] = expm_states(rho0, generators)
+    return states
 
 
 def propagate_checked(rho0, params, times) -> np.ndarray:
@@ -341,16 +337,6 @@ def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
     mat[0, 1] = mat[0, 2] = mat[3, 1] = mat[3, 2] = r12
     mat[1, 0] = mat[2, 0] = mat[1, 3] = mat[2, 3] = np.conj(r12)
     return mat
-
-
-def analytic_state(p: SystemParams, t: float) -> DensityMatrix:
-    """Closed-form rho(t) wrapped in the state contract.
-
-    Fails with ContractViolationError whenever the verbatim expression is
-    not a valid state at (p, t); use analytic_state_matrix / audit_analytic
-    to inspect the raw values.
-    """
-    return DensityMatrix(analytic_state_matrix(p, t))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """End-to-end command-line checks through cli_main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chargeqfi
 from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
 from chargeqfi.model import SystemParams
@@ -260,6 +265,25 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
     assert (code, out) == (1, "") and err.startswith(f"error: cannot write {out_path}: ")
     assert [f.name for f in tmp_path.iterdir()] == ["taken"]
     assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [
+    # a short output fails at the flush, a long one at the write
+    pytest.param(["qfi", "--param", "gamma"], id="qfi"),
+    pytest.param(["evolve", "--points", "5000"], id="evolve"),
+])
+def test_full_stdout_is_a_usage_error(command):
+    src = str(Path(chargeqfi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "chargeqfi.cli", *command], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    # one line, and no second error from the interpreter's final flush
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: [Errno 28] ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_audit_json_output(capsys):

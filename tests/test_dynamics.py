@@ -18,7 +18,6 @@ import chargeqfi
 from chargeqfi.dynamics import (
     Liouvillian,
     analytic_coefficients,
-    analytic_state,
     analytic_state_matrix,
     audit_analytic,
     EXPM_CHUNK,
@@ -329,6 +328,9 @@ def test_expm_states_is_scipy_expm_byte_for_byte():
     assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
     assert max(s for _, s in structures) >= 10
     assert not np.isfinite(stack[-3:]).all(axis=(1, 2)).any()
+    # generic and special slices interleaved, so that the branch changes from slice to slice
+    mixed = np.array([m for pair in zip(generic, special) for m in pair])
+    mixed_alone = np.array([expm(g) for g in mixed])
     # each matrix unit as rho0 picks one column of every exponential
     for k in range(16):
         unit = np.zeros(16, dtype=complex)
@@ -338,6 +340,8 @@ def test_expm_states_is_scipy_expm_byte_for_byte():
         assert dynamics.expm_states(rho0, stack).tobytes() == expected.tobytes()
         for g, state in zip(stack, expected):  # and of each slice alone
             assert dynamics.expm_states(rho0, g[np.newaxis]).tobytes() == state.tobytes()
+        expected = (mixed_alone @ unit).reshape(-1, 4, 4).transpose(0, 2, 1)
+        assert dynamics.expm_states(rho0, mixed).tobytes() == expected.tobytes()
 
 
 def kron_liouvillian(p):
@@ -598,10 +602,10 @@ def test_analytic_state_matrix_t0_offset():
 
 
 def test_analytic_state_rejects_indefinite_matrix():
-    # the t=0 offset makes one eigenvalue clearly negative, so the validating
-    # wrapper must refuse it
+    # the t=0 offset makes one eigenvalue clearly negative, so the state
+    # contract must refuse it
     with pytest.raises(ContractViolationError):
-        analytic_state(P_REF, 0.0)
+        DensityMatrix(analytic_state_matrix(P_REF, 0.0))
 
 
 def test_analytic_requires_degenerate_identical_qubits():

@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeqfi import qfi
-from chargeqfi.dynamics import propagate_expm
+from chargeqfi.dynamics import propagate_checked, propagate_expm
 from chargeqfi.errors import ContractViolationError, DegenerateDerivativeError
 from chargeqfi.model import (
     PARAM_FIELDS,
+    ZZ,
     SystemParams,
     bell_state_psi_plus,
     max_abs_diff,
@@ -331,3 +334,58 @@ def test_one_point_entries_fail_in_one_order(p, t, h, message):
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith(message)
+
+
+# Exact symmetries of the model, off the degeneracy point. The flips and the
+# doubling are exact in floating point, so states and Fisher information must
+# agree bit for bit (conjugated states by value: the signs of zeros may differ).
+_energy = st.floats(0.05, 0.3)
+_gate = st.floats(0.4, 0.6).filter(lambda n_g: n_g != 0.5)
+OFF_DEGENERATE = st.builds(SystemParams, e_c1=st.floats(0.8, 1.2), e_c2=st.floats(0.8, 1.2),
+                           e_j1=_energy, e_j2=_energy, e_m=_energy, n_g1=_gate, n_g2=_gate,
+                           gamma=st.floats(0.1, 0.6))
+SYMMETRY_TIMES = st.floats(0.1, 8.0)
+symmetry_settings = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def qfi_values(p, t, h=FD_STEP_DEFAULT):
+    """(3, 5) f_total, f_c, f_p, f_m and sld at (p, t) with step h, a row per estimand."""
+    rows = []
+    for eta in ALL_TAGS:
+        [(breakdown, sld)] = qfi_points([(p, t)], eta, h)
+        rows.append([breakdown.f_total, breakdown.f_c, breakdown.f_p, breakdown.f_m, sld])
+    return np.array(rows)
+
+
+def scaled(p, factor, names):
+    return dataclasses.replace(p, **{name: factor * getattr(p, name) for name in names})
+
+
+@symmetry_settings
+@given(p=OFF_DEGENERATE, t=SYMMETRY_TIMES)
+def test_josephson_sign_flip_is_conjugation_by_z1z2(p, t):
+    flipped = scaled(p, -1.0, ("e_j1", "e_j2"))
+    rho, rho_flipped = propagate_checked(bell_state_psi_plus(), [p, flipped], [t, t])
+    signs = np.diag(ZZ).real
+    assert rho_flipped.tobytes() == (rho * np.outer(signs, signs)).tobytes()
+    assert qfi_values(flipped, t).tobytes() == qfi_values(p, t).tobytes()
+
+
+@symmetry_settings
+@given(p=OFF_DEGENERATE, t=SYMMETRY_TIMES)
+def test_energy_sign_flip_is_complex_conjugation(p, t):
+    flipped = scaled(p, -1.0, ("e_c1", "e_c2", "e_j1", "e_j2", "e_m"))
+    rho, rho_flipped = propagate_checked(bell_state_psi_plus(), [p, flipped], [t, t])
+    assert (rho_flipped == rho.conj()).all()
+    assert qfi_values(flipped, t).tobytes() == qfi_values(p, t).tobytes()
+
+
+@symmetry_settings
+@given(p=OFF_DEGENERATE, t=SYMMETRY_TIMES)
+def test_doubling_energies_and_gamma_halves_time(p, t):
+    """rho(2p, t) = rho(p, 2t), so 4 F(2p, t; h) = F(p, 2t; h/2)."""
+    doubled = scaled(p, 2.0, ("e_c1", "e_c2", "e_j1", "e_j2", "e_m", "gamma"))
+    rho_doubled, rho = propagate_checked(bell_state_psi_plus(), [doubled, p], [t, 2.0 * t])
+    assert rho_doubled.tobytes() == rho.tobytes()
+    slow, fast = qfi_values(doubled, t, 1e-4), qfi_values(p, 2.0 * t, 5e-5)
+    assert (4.0 * slow).tobytes() == fast.tobytes()
