@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # argparse drops an OSError from its write, so a --help into a full stdout
+    # would be lost silently
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _write_text(None, message)
+        else:
+            super()._print_message(message, file)
+
 
 # default and help text of each model flag, by its name in model.MODEL_NAMES
 PARAM_FLAGS = {"gamma": (0.4, "dephasing rate"), "ej": (0.1, "Josephson energy of both qubits"),

@@ -7,7 +7,8 @@ entrywise: rho times a constant 4x4 mask with entries 0, -4 and -8.
 
 The authoritative propagator is the matrix exponential of the Liouvillian
 (scaling-and-squaring). One batch core, _propagate_rows, builds every
-generator and exponentiates it, one slice at a time in expm_states:
+generator and exponentiates each chunk with one public scipy.linalg.expm call
+in expm_states, each state bit-identical to expm of its generator alone:
 propagate_expm is a one-point call of the core and propagate_checked a batch
 call. The Liouvillian is linear in its coefficients (kappa1, kappa2, e_j1,
 e_j2, e_m, gamma), a product with six constant generators, so this route
@@ -32,7 +33,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import IntegrationError
 from .model import (
@@ -56,8 +56,6 @@ from .model import (
 # generators exponentiated per expm call in _propagate_rows
 EXPM_CHUNK = 128
 
-# (256, 2) masks of the entries below (row > column) and above the diagonal of a flat 16x16
-_OFF_DIAGONAL_HALVES = np.sign(np.arange(16)[:, None] - np.arange(16)).reshape(256, 1) == [1, -1]
 # sum_j (2 z_a z_b - z_a^2 - z_b^2) over the diagonals z of Z1 and Z2; rho times it,
 # entrywise, is sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj)
 _RHS_DEPHASING_MASK = sum(2.0 * np.outer(z, z) - z[:, np.newaxis] ** 2 - z[np.newaxis, :] ** 2
@@ -135,32 +133,9 @@ def build_liouvillian(p: SystemParams) -> Liouvillian:
 
 
 def expm_states(rho0, generators: np.ndarray) -> np.ndarray:
-    """unvec(expm(G) vec(rho0)) for each G of an (n, 16, 16) stack, as (n, 4, 4).
-
-    One loop over the slices, each bit-identical to scipy.linalg.expm of it
-    alone: a slice with nonzero (or nan) entries both below and above the
-    diagonal runs scipy's Pade kernels (scipy >= 1.17) as scipy's per-slice loop
-    does, without its bandwidth test; any other slice (t = 0, e_j = 0,
-    triangular) goes to scipy.linalg.expm.
-    """
-    generic = ((generators != 0).reshape(-1, 256) @ _OFF_DIAGONAL_HALVES).all(axis=1)
-    out = np.empty_like(generators)
-    work = np.empty((5, 16, 16), dtype=generators.dtype)
-    for k, g in enumerate(generators):
-        if not generic[k]:
-            out[k] = expm(g)
-            continue
-        work[0] = g
-        m, s = pick_pade_structure(work)  # scales work[0] by 2**-s
-        if m < 0:
-            raise MemoryError(f"expm could not allocate its Pade workspace (error code {m})")
-        info = pade_UV_calc(work, m)
-        if info != 0:  # scipy's classes: failed allocation, else a LAPACK error
-            raise (MemoryError if info <= -11 else RuntimeError)(f"expm failed (error code {info})")
-        out[k] = work[0]
-        for _ in range(s):
-            out[k] = out[k] @ out[k]
-    vecs = out @ as_matrix(rho0).reshape(16, order="F")
+    """unvec(expm(G) vec(rho0)) for each G of an (n, 16, 16) stack, as (n, 4, 4), by one
+    scipy.linalg.expm call; each state is bit-identical to expm of its G alone."""
+    vecs = expm(generators) @ as_matrix(rho0).reshape(16, order="F")
     return vecs.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 

@@ -272,6 +272,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
     # a short output fails at the flush, a long one at the write
     pytest.param(["qfi", "--param", "gamma"], id="qfi"),
     pytest.param(["evolve", "--points", "5000"], id="evolve"),
+    pytest.param(["qfi", "--help"], id="qfi-help"),
 ])
 def test_full_stdout_is_a_usage_error(command):
     src = str(Path(chargeqfi.__file__).resolve().parent.parent)

@@ -1,5 +1,6 @@
 """Lindblad generator, propagators, and the closed-form audit."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -690,3 +691,25 @@ def test_import_leaves_the_integrator_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def scipy_import_paths(tree):
+    """The dotted scipy names each import of a module's syntax tree binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "scipy":
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_package_imports_no_private_scipy_module():
+    # private scipy modules change their signatures between releases without notice
+    package = Path(chargeqfi.__file__).resolve().parent
+    private = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = [name for name in scipy_import_paths(tree)
+                 if any(part.startswith("_") for part in name.split("."))]
+        if names:
+            private[path.name] = names
+    assert private == {}
