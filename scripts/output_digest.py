@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...] [--per-output]
+                                     [--dump OUT]
 
 DIR (default: the checkout holding this script) is a checkout of the
 repository; its src/ is imported and its scripts/write_audit_artifact.py
@@ -14,6 +15,9 @@ one message. --per-output first prints one `label sha256` line per output,
 the label being the output's position and its first line (after the
 function's name for d_rho and spectral_derivative, which share a first
 line), so that two listings can be diffed to name the outputs that moved.
+--dump OUT writes each output, as hashed, to OUT/<index>.out, so that
+`diff -r` of two dumps names the moved outputs and shows by how much in
+their CSV and JSON text; it does not change the digest.
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
@@ -229,9 +233,13 @@ def main(argv=None) -> int:
                         help="text removed from every output before hashing (repeatable)")
     parser.add_argument("--per-output", action="store_true",
                         help="list a label and a SHA-256 per output before the digest")
+    parser.add_argument("--dump", type=Path, metavar="OUT",
+                        help="write each output, as hashed, to OUT/<index>.out")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = collect(args.checkout.resolve(), Path(tmp))
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     for index, output in enumerate(outputs):
         # a (name, bytes) output is labelled with its function's name; the name is not hashed
@@ -242,6 +250,8 @@ def main(argv=None) -> int:
             output = output.replace(text.encode(), b"")
         # length-prefixed, so that moving bytes between outputs changes the digest
         digest.update(len(output).to_bytes(8, "little") + output)
+        if args.dump:
+            (args.dump / f"{index:03d}.out").write_bytes(output)
         if args.per_output:
             label = output.split(b"\n", 1)[0][:120].decode("ascii", "backslashreplace")
             label = f"{name} {label}" if name else label

@@ -30,6 +30,7 @@ ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
+RESIDUAL_ATOL = 1e-8
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -129,9 +130,10 @@ def _state_contract(mats: np.ndarray) -> tuple:
     """state_faults, and the one eigh of the stack, which the decomposition reads too.
 
     Checks run in the order finiteness, Hermiticity (1e-10), trace (1e-9),
-    positivity (-1e-9). Returns (faults, (solved, vals, vecs)): solved is mats
-    with each matrix that fails one of the first three replaced by eye(4)/4,
-    and vals (ascending), vecs are np.linalg.eigh of solved.
+    positivity (-1e-9), eigen residual (max |rho V - V diag(vals)| <= 1e-8).
+    Returns (faults, solved, vals, vecs): solved is mats with each matrix that
+    fails one of the first three replaced by eye(4)/4, and vals (ascending),
+    vecs are np.linalg.eigh of solved.
     """
     finite = np.isfinite(mats).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
@@ -141,18 +143,21 @@ def _state_contract(mats: np.ndarray) -> tuple:
     solved = np.where(checked[:, np.newaxis, np.newaxis], mats, np.eye(4) / 4)
     vals, vecs = np.linalg.eigh(solved)
     lowest = vals[:, 0]
+    residual = np.abs(solved @ vecs - vecs * vals[:, np.newaxis, :]).max(axis=(-2, -1))
     faults = [None] * len(mats)
-    for k in np.flatnonzero(~checked | (lowest < EIGENVALUE_FLOOR)):
+    for k in np.flatnonzero(~checked | (lowest < EIGENVALUE_FLOOR) | (residual > RESIDUAL_ATOL)):
         if not finite[k]:
             msg = "state has non-finite entries"
         elif herm[k] > HERMITICITY_ATOL:
             msg = f"Hermiticity deviation {herm[k]:.3e} exceeds {HERMITICITY_ATOL:.0e}"
         elif tr_dev[k] > TRACE_ATOL:
             msg = f"trace deviation {tr_dev[k]:.3e} exceeds {TRACE_ATOL:.0e}"
-        else:
+        elif lowest[k] < EIGENVALUE_FLOOR:
             msg = f"negative eigenvalue {lowest[k]:.3e} below floor {EIGENVALUE_FLOOR:.0e}"
+        else:
+            msg = f"eigen residual {residual[k]:.3e} exceeds {RESIDUAL_ATOL:.0e}"
         faults[k] = ContractViolationError(msg)
-    return faults, (solved, vals, vecs)
+    return faults, solved, vals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +166,7 @@ class DensityMatrix:
 
     Construction validates the numerical contract (state_faults): finite
     entries, Hermiticity deviation <= 1e-10, |trace - 1| <= 1e-9,
-    eigenvalues >= -1e-9.
+    eigenvalues >= -1e-9, eigen residual <= 1e-8.
     """
 
     mat: np.ndarray

@@ -15,10 +15,9 @@ reads both routes from it over a batch of points, d_rho and
 spectral_derivative over one; qfi_components and qfi_sld are one-point
 qfi_points calls. A point reports its first failure in the order: domain
 (gamma < 0, then t, then the step) -> state contract of the base, +h and -h
-states -> base eigen residual -> shifted eigen residuals -> branch matching
--> breakdown floors.
-d_rho stops after the second, the SLD value after the third and
-spectral_derivative after the fifth.
+states (its last check is the eigen residual) -> branch matching ->
+breakdown floors. d_rho and the SLD value stop after the second and
+spectral_derivative after the third.
 """
 
 from __future__ import annotations
@@ -140,14 +139,13 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
 
     Its domain pass is the one place that checks a point's gamma, t and step.
     Returns (ks, faults, base, derivatives). faults[k] is point k's first
-    fault (or None) up to each stage: state contract of the base, +h and -h
-    states; base eigen residual; shifted eigen residuals and matching; or its
-    domain (gamma, t, step) fault at all three. The arrays run over the points
-    in domain, ks: base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
-    base states, derivatives is (d_eigenvalues, d_eigenvectors, d_rho). One
-    _propagate_rows call, one state contract over its stack, whose one batched
-    eigh the decomposition reuses, and one matching call serve all points and
-    sides.
+    fault (or None) up to each stage: the state contract of the base, +h and
+    -h states; then matching; or its domain (gamma, t, step) fault at both.
+    The arrays run over the points in domain, ks: base is (eigenvalues,
+    eigenvectors, clamped, n_clamped) of the base states, derivatives is
+    (d_eigenvalues, d_eigenvectors, d_rho). One _propagate_rows call, one
+    state contract over its stack, whose one batched eigh the decomposition
+    reuses, and one matching call serve all points and sides.
     """
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
@@ -157,7 +155,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
             check_step(gamma, eta, h)
             faults.append(None)
         except ValueError as exc:
-            faults.append((exc,) * 3)
+            faults.append((exc,) * 2)
     ks = [k for k, fault in enumerate(faults) if fault is None]
     n = len(ks)
     # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
@@ -167,12 +165,11 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     cols = [PARAM_FIELDS.index(name) for name in eta.fields]
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    state_faults, eigh = _state_contract(
+    state_faults, states, vals, vecs = _state_contract(
         _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3))
     # a point with a faulty state fails before any eigen result of it is read; the
     # contract's stand-in keeps a non-finite or huge state out of the sums' warnings
-    states = eigh[0]
-    vals, vecs, clamped, n_clamped, eig_faults = decompose_many(*eigh)
+    vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
     side_vals, side_vecs, match_faults = _match_branches(np.tile(vecs[:n], (2, 1, 1)),
                                                          vals[n:], vecs[n:])
     # The one central difference, of the matched eigensystems and of rho. It
@@ -184,9 +181,7 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     # exceptions are truthy, so an `or` chain of faults is the first of them
     for j, k in enumerate(ks):
         state = state_faults[j] or state_faults[n + j] or state_faults[2 * n + j]
-        base = state or eig_faults[j]
-        faults[k] = (state, base, base or eig_faults[n + j] or eig_faults[2 * n + j]
-                     or match_faults[j] or match_faults[n + j])
+        faults[k] = (state, state or match_faults[j] or match_faults[n + j])
     return ks, faults, (vals[:n], vecs[:n], clamped[:n], n_clamped[:n]), (d_vals, d_vecs, drho)
 
 
@@ -208,7 +203,7 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
     pass their contract before any eigensystem is read.
     """
     _, (faults,), (vals, *_), (d_vals, d_vecs, _) = _derivative_rows(param_rows([p]), [t], eta, h)
-    _checked(faults[2])
+    _checked(faults[1])
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                     if abs(vals[0, i] - vals[0, j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
@@ -301,10 +296,10 @@ def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     f_c, f_p, f_m, gauge = _breakdown_sums(clamped, vecs, d_vals, d_vecs)
     f_total = f_c + f_p - f_m
     sld = _sld_sums(clamped, vecs, drho)
-    # the SLD value fails only up to the base eigen residual
-    out = [(fault[1], fault[1]) for fault in faults]
+    # the SLD value fails only up to the state contract
+    out = [(fault[0], fault[0]) for fault in faults]
     for j, k in enumerate(ks):
-        _, sld_fault, breakdown = faults[k]
+        sld_fault, breakdown = faults[k]
         if sld_fault is not None:
             continue
         if breakdown is None:

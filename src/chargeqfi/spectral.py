@@ -5,8 +5,9 @@ Gauge convention: eigenvalues sorted descending; each eigenvector is scaled
 by a unit phase so that its largest-magnitude entry is real and
 non-negative (bit-exact magnitude ties resolved toward the lowest index).
 Identical input bits therefore produce identical output bits.
-The eigensystem is the state contract's one eigh (model._state_contract):
-each state is eigen-solved once.
+The eigensystem is the state contract's one eigh (model._state_contract),
+whose eigen residual the contract checks: each state is eigen-solved and
+checked once.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .model import SystemParams, as_matrix, _readonly, _state_contract
 from .dynamics import analytic_coefficients, analytic_state_matrix
 
 # eigenvalues below this floor count as exactly zero in Fisher-information sums
 EIGENVALUE_CLAMP = 1e-12
-RESIDUAL_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,31 +54,24 @@ def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose_many(rhos: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple:
-    """spectral_decompose over the eigh (rhos, vals, vecs) of model._state_contract.
+def decompose_many(vals: np.ndarray, vecs: np.ndarray) -> tuple:
+    """spectral_decompose over the eigh (vals, vecs) of model._state_contract.
 
-    Orders descending, fixes the gauge, checks the eigen residual and clamps.
-    Returns (eigenvalues, eigenvectors, clamped, n_clamped, faults), the first
-    four stacked; faults[k] is rhos[k]'s residual ContractViolationError, or None.
+    Orders descending, fixes the gauge and clamps. Returns the stacked
+    (eigenvalues, eigenvectors, clamped, n_clamped).
     """
     vals = vals[..., ::-1]
-    vecs = _fix_gauge(vecs[..., ::-1])
-    residual = np.abs(rhos @ vecs - vecs * vals[..., np.newaxis, :]).max(axis=(-2, -1))
-    faults = [None] * len(rhos)
-    for k in np.flatnonzero(residual > RESIDUAL_ATOL):
-        faults[k] = ContractViolationError(
-            f"eigen residual {residual[k]:.3e} exceeds {RESIDUAL_ATOL:.0e}")
     below = vals < EIGENVALUE_CLAMP
-    return vals, vecs, np.where(below, 0.0, vals), below.sum(axis=-1), faults
+    return vals, _fix_gauge(vecs[..., ::-1]), np.where(below, 0.0, vals), below.sum(axis=-1)
 
 
 def spectral_decompose(rho) -> SpectralDecomposition:
     """Descending, gauge-fixed eigensystem of a state; a matrix that is not a
     state raises the state contract's ContractViolationError (state_faults)."""
-    (fault,), eigh = _state_contract(as_matrix(rho)[np.newaxis])
-    vals, vecs, clamped, n_clamped, (residual_fault,) = decompose_many(*eigh)
-    if fault or residual_fault:
-        raise fault or residual_fault
+    (fault,), _, vals, vecs = _state_contract(as_matrix(rho)[np.newaxis])
+    if fault:
+        raise fault
+    vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
     return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,
                                  eigenvectors=_readonly(vecs[0]),
                                  clamped=_readonly(clamped[0]).real,

@@ -5,10 +5,11 @@ them all in one call of qfi._qfi_rows, the row form of qfi_points, which
 reads both QFI routes from the derivative core qfi._derivative_rows. The
 core checks each value in its domain pass (a negative gamma, t, the step),
 so a point that fails there or later becomes an error row carrying the
-message of its first failure, in the order that the qfi module docstring
-gives. Every row is a pure function of the configuration and floats are
-formatted to 17 significant digits, so output bytes do not depend on the
-(accepted, no longer used) parallelism setting.
+message of its first failure, in the qfi module's order: domain, state
+contract, branch matching, breakdown floors. Every row is a pure function
+of the configuration and floats are formatted to 17 significant digits, so
+output bytes do not depend on the (accepted, no longer used) parallelism
+setting.
 """
 
 from __future__ import annotations

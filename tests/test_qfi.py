@@ -1,6 +1,7 @@
 """Fisher information breakdown against the symmetric-derivative oracle."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chargeqfi.errors import ContractViolationError, DegenerateDerivativeError
 from chargeqfi.model import (
     PARAM_FIELDS,
     ZZ,
+    DensityMatrix,
     SystemParams,
     bell_state_psi_plus,
     max_abs_diff,
@@ -31,6 +33,7 @@ from chargeqfi.qfi import (
     spectral_derivative,
 )
 from chargeqfi.spectral import spectral_decompose
+from chargeqfi.sweeps import SweepConfig, run_sweep
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
 ALL_TAGS = (EstimandTag.GAMMA, EstimandTag.EJ, EstimandTag.EM)
@@ -334,6 +337,35 @@ def test_one_point_entries_fail_in_one_order(p, t, h, message):
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith(message)
+
+
+def test_a_corrupted_eigensolve_fails_every_route_at_the_state_contract(monkeypatch):
+    """The eigen residual is the state contract's last check: with eigh's vectors
+    shifted by 1e-6 every route that reads the state of (P_REF, 2.0) stops there,
+    with one message, before any eigensystem or derivative is returned."""
+    rho = propagate_expm(bell_state_psi_plus(), P_REF, 2.0).mat
+    real_eigh = np.linalg.eigh
+
+    def corrupted_eigh(a, *args, **kwargs):
+        vals, vecs = real_eigh(a, *args, **kwargs)
+        return vals, vecs + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+    entries = [lambda: DensityMatrix(rho), lambda: spectral_decompose(rho),
+               lambda: propagate_checked(bell_state_psi_plus(), [P_REF], [2.0])]
+    entries += [lambda fn=fn: fn(P_REF, 2.0, EstimandTag.GAMMA)
+                for fn in (d_rho, qfi_sld, qfi_components, spectral_derivative)]
+    messages = []
+    for entry in entries:
+        with pytest.raises(ContractViolationError) as exc:
+            entry()
+        messages.append(str(exc.value))
+    row = run_sweep(SweepConfig(params=P_REF, estimand=EstimandTag.GAMMA, axis="time",
+                                axis_start=2.0, axis_end=3.0, points=2)).rows[0]
+    assert row.axis_value == 2.0 and row.breakdown is None
+    messages.append(row.error)
+    assert re.fullmatch(r"eigen residual \d\.\d{3}e-0[5-7] exceeds 1e-08", messages[0])
+    assert messages == [messages[0]] * len(messages)
 
 
 # Exact symmetries of the model, off the degeneracy point. The flips and the

@@ -154,8 +154,9 @@ def test_decompose_rejects_non_finite(value):
 
 
 def test_decompose_many_reports_non_finite_matrices_per_point():
-    # the state contract reports finiteness per point and hands the decomposition
-    # its eigh of the stack, a non-finite matrix solved as the eye(4)/4 stand-in
+    # the state contract reports each point's fault and hands the decomposition
+    # its eigh of the stack, a non-finite matrix solved as the eye(4)/4 stand-in;
+    # the decomposition only orders, gauge-fixes and clamps
     nan_entry = as_matrix(BELL).copy()
     nan_entry[0, 0] = np.nan
     inf_entry = as_matrix(BELL).copy()
@@ -165,16 +166,15 @@ def test_decompose_many_reports_non_finite_matrices_per_point():
     before = stack.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state_faults, eigh = _state_contract(stack)
-        vals, vecs, clamped, n_clamped, faults = decompose_many(*eigh)
+        state_faults, solved, vals, vecs = _state_contract(stack)
+        vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
     assert np.array_equal(stack, before, equal_nan=True)
-    assert faults == [None] * 6
+    assert [fault is None for fault in state_faults] == [True, False, True, False, False, True]
     for k in (1, 3, 4):
         assert isinstance(state_faults[k], ContractViolationError)
         assert str(state_faults[k]) == "state has non-finite entries"
-        assert np.array_equal(eigh[0][k], np.eye(4) / 4)
+        assert np.array_equal(solved[k], np.eye(4) / 4)
     for k in (0, 2, 5):
-        assert state_faults[k] is None
         single = spectral_decompose(stack[k])
         assert np.array_equal(vals[k], single.eigenvalues)
         assert np.array_equal(vecs[k], single.eigenvectors)
