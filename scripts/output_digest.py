@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...] [--per-output]
                                      [--dump OUT]
+    python3 scripts/output_digest.py --compare A B
 
 DIR (default: the checkout holding this script) is a checkout of the
 repository; its src/ is imported and its scripts/write_audit_artifact.py
@@ -17,7 +18,14 @@ function's name for d_rho and spectral_derivative, which share a first
 line), so that two listings can be diffed to name the outputs that moved.
 --dump OUT writes each output, as hashed, to OUT/<index>.out, so that
 `diff -r` of two dumps names the moved outputs and shows by how much in
-their CSV and JSON text; it does not change the digest.
+their CSV and JSON text; it does not change the digest. --compare A B reads
+two such dumps instead of a checkout: for each output whose bytes differ it
+prints the output's index, its label (its first line) and the largest relative
+change among the numbers it holds, or the two counts where the outputs hold
+different numbers of numbers, and it exits with 1 if any output differs. The
+numbers of an output are the decimal numbers of its text and the values of
+its raw float64 and complex128 arrays, each read after its `dtype shape` head
+(and the fault list of the interleaved states).
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
@@ -64,6 +72,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import runpy
 import sys
 import tempfile
@@ -78,6 +88,10 @@ ESTIMANDS = ("gamma", "ej", "em")
 QFI_TIMES = ("0", "1e-6", "1", "2", "7.5", "1e300")
 DERIVATIVE_TIMES = (0.0, 1e-6, 1.0, 2.0, 7.5, -1.0, 1e300)
 DERIVATIVE_STEPS = (1e-4, 1e-8, 1e-2)
+# the head of a raw array in an output, and the text fault list that follows the
+# head of the interleaved states
+ARRAY_HEAD = re.compile(rb"(float64|complex128) \(([0-9, ]*)\)( \[[^\]]*\])?")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 SWEEP_AXES = (("gamma", "0", "0.6"), ("gamma", "-0.3", "0.6"), ("ej", "0.05", "0.3"),
               ("em", "0.05", "0.3"), ("time", "0", "10"), ("time", "1", "1e300"))
 
@@ -226,6 +240,55 @@ def collect(checkout: Path, tmp: Path) -> list:
     return outputs
 
 
+def label(output: bytes) -> str:
+    return output.split(b"\n", 1)[0][:120].decode("ascii", "backslashreplace")
+
+
+def numbers(output: bytes) -> np.ndarray:
+    """The decimal numbers of an output's text and the values of its raw arrays,
+    in order, a complex value as its real and imaginary parts."""
+    values, pos = [], 0
+    while (head := ARRAY_HEAD.search(output, pos)) is not None:
+        values += [float(n) for n in NUMBER.findall(output[pos:head.end()])]
+        dtype = np.dtype(head[1].decode())
+        size = dtype.itemsize * math.prod(int(n) for n in head[2].split(b",") if n.strip())
+        array = np.frombuffer(output, dtype, size // dtype.itemsize, head.end())
+        values += array.view(float).tolist()
+        pos = head.end() + size
+    values += [float(n) for n in NUMBER.findall(output[pos:])]
+    return np.array(values)
+
+
+def change(a: bytes, b: bytes) -> str:
+    """The largest relative change between the numbers of two outputs, or their counts."""
+    x, y = numbers(a), numbers(b)
+    if len(x) != len(y):
+        return f"{len(x)} vs {len(y)} numbers"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    # equal numbers (nan included) change by 0; an infinite or nan change is inf
+    rel = np.where((x == y) | (np.isnan(x) & np.isnan(y)), 0.0, np.nan_to_num(rel, nan=np.inf))
+    return f"max rel change {rel.max(initial=0.0):.3e}"
+
+
+def compare(dump_a: Path, dump_b: Path) -> int:
+    """Print each output that differs between two --dump directories; 1 if any does."""
+    names = sorted({path.name for path in (*dump_a.iterdir(), *dump_b.iterdir())})
+    moved = 0
+    for name in names:
+        a, b = dump_a / name, dump_b / name
+        if a.exists() and b.exists():
+            a_bytes, b_bytes = a.read_bytes(), b.read_bytes()
+            if a_bytes == b_bytes:
+                continue
+            print(f"{name[:-4]} {label(a_bytes)} {change(a_bytes, b_bytes)}")
+        else:
+            print(f"{name[:-4]} only in {a.parent if a.exists() else b.parent}")
+        moved += 1
+    print(f"{moved} of {len(names)} outputs differ")
+    return 1 if moved else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
@@ -235,7 +298,11 @@ def main(argv=None) -> int:
                         help="list a label and a SHA-256 per output before the digest")
     parser.add_argument("--dump", type=Path, metavar="OUT",
                         help="write each output, as hashed, to OUT/<index>.out")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="list the outputs that differ between two --dump directories")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = collect(args.checkout.resolve(), Path(tmp))
     if args.dump:
@@ -253,9 +320,8 @@ def main(argv=None) -> int:
         if args.dump:
             (args.dump / f"{index:03d}.out").write_bytes(output)
         if args.per_output:
-            label = output.split(b"\n", 1)[0][:120].decode("ascii", "backslashreplace")
-            label = f"{name} {label}" if name else label
-            print(f"{index:03d} {label} {hashlib.sha256(output).hexdigest()}")
+            print(f"{index:03d} {f'{name} ' if name else ''}{label(output)} "
+                  f"{hashlib.sha256(output).hexdigest()}")
     print(digest.hexdigest())
     return 0
 

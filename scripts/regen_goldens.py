@@ -12,9 +12,9 @@ beyond the stated tolerances, something in the numerics changed.
 
 import numpy as np
 
+from chargeqfi.dynamics import analytic_eigensystem
 from chargeqfi.model import SystemParams
 from chargeqfi.qfi import EstimandTag, qfi_components, qfi_sld
-from chargeqfi.spectral import analytic_eigensystem
 
 TAGS = (EstimandTag.GAMMA, EstimandTag.EJ, EstimandTag.EM)
 

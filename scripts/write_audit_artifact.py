@@ -14,13 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from chargeqfi.dynamics import audit_analytic
+from chargeqfi.dynamics import AUDIT_TOL, audit_analytic
 from chargeqfi.model import SystemParams
 
 GAMMAS = (0.3, 0.4, 0.5)
 COUPLINGS = (0.05, 0.1, 0.2)
 TIMES = (0.5, 1.0, 2.0, 5.0, 10.0)
-TOLERANCE = 1e-8
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "docs" / "closed_form_audit.json"
 
 
@@ -30,7 +29,7 @@ def build_artifact() -> dict:
     for g in GAMMAS:
         for e in COUPLINGS:
             p = SystemParams.degenerate(e_j=e, e_m=e, gamma=g)
-            rep = audit_analytic(p, TIMES, tol=TOLERANCE)
+            rep = audit_analytic(p, TIMES)
             entry = {
                 "gamma": g,
                 "coupling": e,
@@ -43,7 +42,7 @@ def build_artifact() -> dict:
             if worst is None or entry["max_abs_deviation"] > worst["max_abs_deviation"]:
                 worst = entry
     return {
-        "tolerance": TOLERANCE,
+        "tolerance": AUDIT_TOL,
         "time_grid": list(TIMES),
         "combos": combos,
         "worst": worst,

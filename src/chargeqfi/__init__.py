@@ -12,9 +12,12 @@ from .model import (
 )
 from .dynamics import (
     AnalyticCoefficients,
+    AnalyticEigensystem,
     AuditReport,
+    EigStructureParams,
     Liouvillian,
     analytic_coefficients,
+    analytic_eigensystem,
     analytic_state_matrix,
     audit_analytic,
     build_liouvillian,
@@ -22,13 +25,7 @@ from .dynamics import (
     propagate_expm,
     propagate_rk,
 )
-from .spectral import (
-    AnalyticEigensystem,
-    EigStructureParams,
-    SpectralDecomposition,
-    analytic_eigensystem,
-    spectral_decompose,
-)
+from .spectral import SpectralDecomposition, spectral_decompose
 from .qfi import (
     EstimandTag,
     QfiBreakdown,
@@ -55,11 +52,10 @@ __all__ = [
     "ContractViolationError", "DegenerateDerivativeError", "IntegrationError",
     "DensityMatrix", "SystemParams", "bell_state_psi_plus", "build_hamiltonian",
     "kappa_coefficients",
-    "AnalyticCoefficients", "AuditReport", "Liouvillian", "analytic_coefficients",
-    "analytic_state_matrix", "audit_analytic", "build_liouvillian", "lindblad_rhs",
-    "propagate_expm", "propagate_rk",
-    "AnalyticEigensystem", "EigStructureParams", "SpectralDecomposition",
-    "analytic_eigensystem", "spectral_decompose",
+    "AnalyticCoefficients", "AnalyticEigensystem", "AuditReport", "EigStructureParams",
+    "Liouvillian", "analytic_coefficients", "analytic_eigensystem", "analytic_state_matrix",
+    "audit_analytic", "build_liouvillian", "lindblad_rhs", "propagate_expm", "propagate_rk",
+    "SpectralDecomposition", "spectral_decompose",
     "EstimandTag", "QfiBreakdown", "SpectralDerivative", "cramer_rao", "d_rho",
     "qfi_components", "qfi_sld", "spectral_derivative",
     "FIGURES", "FigureSpec", "SweepConfig", "SweepResult", "SweepRow",

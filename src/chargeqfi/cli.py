@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, check_field
-from .dynamics import audit_analytic, check_time, check_tol, propagate_checked
+from .dynamics import AUDIT_TOL, audit_analytic, check_time, check_tol, propagate_checked
 from .qfi import FD_STEP_DEFAULT, EstimandTag, check_fd_step, qfi_points
 from .sweeps import (
     AXES,
@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
     _add_param_flags(audit)
     audit.add_argument("--t-max", type=float, default=10.0)
     audit.add_argument("--points", type=int, default=21)
-    audit.add_argument("--tol", type=float, default=1e-8)
+    audit.add_argument("--tol", type=float, default=AUDIT_TOL)
     audit.add_argument("--out", type=str, default=None)
     return parser
 
@@ -178,17 +178,13 @@ def _time_grid(args) -> np.ndarray:
 def _cmd_evolve(args) -> int:
     p = _build_params(args, {})
     times = _time_grid(args)
-    header = ["t"]
-    for i in range(1, 5):
-        for j in range(1, 5):
-            header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
+    # each state's row-major (re, im) pairs, one row per time
+    values = propagate_checked(bell_state_psi_plus(), [p] * len(times), times).view(float)
+    header = ["t", *(f"rho_{part}_{i}{j}" for i in range(1, 5) for j in range(1, 5)
+                     for part in ("re", "im"))]
     lines = [",".join(header)]
-    for t, mat in zip(times, propagate_checked(bell_state_psi_plus(), [p] * len(times), times)):
-        fields = [format_float(float(t))]
-        for i in range(4):
-            for j in range(4):
-                fields += [format_float(mat[i, j].real), format_float(mat[i, j].imag)]
-        lines.append(",".join(fields))
+    for t, row in zip(times, values.reshape(len(times), 32)):
+        lines.append(",".join([format_float(float(t)), *map(format_float, row)]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

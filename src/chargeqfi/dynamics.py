@@ -18,9 +18,10 @@ never touches the 16x16 generator. The two routes share only
 model.kappa_coefficients. Both check each time once (check_time) and each
 state once against the single state contract (model.state_faults, which
 DensityMatrix applies); the core returns bare states, so each of its callers
-applies the contract. The closed-form rho(t) at the degeneracy point is kept
-exactly as derived even though its lambda3 radicand is dimensionally suspect;
-audit_analytic measures its deviation from propagate_checked.
+applies the contract. The printed closed form at the degeneracy point, rho(t)
+and its eigensystem, is kept verbatim even though its lambda3 radicand is
+dimensionally suspect; _closed_form evaluates it once per (p, t) for both,
+and audit_analytic measures rho(t) against propagate_checked.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -55,6 +57,8 @@ from .model import (
 
 # generators exponentiated per expm call in _propagate_rows
 EXPM_CHUNK = 128
+# the closed form's largest accepted deviation in audit_analytic, audit --tol and the artifact
+AUDIT_TOL = 1e-8
 
 # sum_j (2 z_a z_b - z_a^2 - z_b^2) over the diagonals z of Z1 and Z2; rho times it,
 # entrywise, is sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj)
@@ -226,7 +230,8 @@ class AnalyticCoefficients:
 
     mu_plus/mu_minus here are the solution-level constants lambda3 +/- (gamma^2
     + E_m^2 - E_j^2); the eigensystem layer defines a different mu pair and the
-    two are never interchanged.
+    two are never interchanged. sin1, cos1, sinh2, cosh2 are sin/cos(sqrt2
+    lambda1 t) and sinh/cosh(sqrt2 lambda2 t), which rho(t) reads too.
     """
 
     lambda1: float
@@ -240,6 +245,10 @@ class AnalyticCoefficients:
     r2_minus: float
     upsilon1: float
     upsilon2: float
+    sin1: float
+    cos1: float
+    sinh2: float
+    cosh2: float
 
 
 def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
@@ -280,29 +289,29 @@ def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
         r2_minus=s2 * g * sinh2 - lam2 * cosh2,
         upsilon1=math.exp(-2.0 * g * t) / (8.0 * lam123),
         upsilon2=ej * math.exp(-2.0 * g * t) / (8.0 * lam3),
+        sin1=sin1, cos1=cos1, sinh2=sinh2, cosh2=cosh2,
     )
 
 
-def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
-    """Closed-form rho(t) evaluated verbatim; may violate positivity (audited)."""
-    check_time(t)
+def _closed_form(p: SystemParams, t: float) -> tuple[AnalyticCoefficients, np.ndarray]:
+    """The printed coefficients and rho(t) at (p, t), each evaluated once; raises
+    analytic_coefficients' errors, then check_time's, then exp's overflow at large t."""
     c = analytic_coefficients(p, t)
-    ej, em, g = p.e_j1, p.e_m, p.gamma
+    check_time(t)
+    em, g = p.e_m, p.gamma
     lam123 = c.lambda1 * c.lambda2 * c.lambda3
     grow = 2.0 * lam123 * math.exp(2.0 * g * t)
     decay = 2.0 * lam123 * math.exp(-2.0 * g * t)
     sym = c.lambda2 * c.mu_minus * c.r1_plus + c.lambda1 * c.mu_plus * c.r2_plus
     asym = c.lambda2 * c.mu_minus * c.r1_minus + c.lambda1 * c.mu_plus * c.r2_minus
     s2 = math.sqrt(2.0)
-    sin1, cos1 = math.sin(s2 * c.lambda1 * t), math.cos(s2 * c.lambda1 * t)
-    sinh2, cosh2 = math.sinh(s2 * c.lambda2 * t), math.cosh(s2 * c.lambda2 * t)
 
     r11 = c.upsilon1 * (grow - sym)
     r22 = c.upsilon1 * (grow + sym)
     r14 = c.upsilon1 * (decay + asym)
     r23 = c.upsilon1 * (decay - asym)
-    r12 = c.upsilon2 * (2.0 * em * (cosh2 - cos1)
-                        + 1j * s2 * (c.lambda2 * sinh2 + c.lambda1 * sin1))
+    r12 = c.upsilon2 * (2.0 * em * (c.cosh2 - c.cos1)
+                        + 1j * s2 * (c.lambda2 * c.sinh2 + c.lambda1 * c.sin1))
 
     mat = np.empty((4, 4), dtype=complex)
     mat[0, 0] = mat[3, 3] = r11
@@ -311,7 +320,87 @@ def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
     mat[1, 2] = mat[2, 1] = r23
     mat[0, 1] = mat[0, 2] = mat[3, 1] = mat[3, 2] = r12
     mat[1, 0] = mat[2, 0] = mat[1, 3] = mat[2, 3] = np.conj(r12)
-    return mat
+    return c, mat
+
+
+def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
+    """Closed-form rho(t) evaluated verbatim, t checked first; may violate positivity (audited)."""
+    check_time(t)
+    return _closed_form(p, t)[1]
+
+
+@dataclass(frozen=True)
+class EigStructureParams:
+    """Angle and weights of the closed-form eigenvectors.
+
+    theta is atan2(beta, alpha), which agrees with arctan(beta/alpha) on
+    the alpha > 0 branch; for alpha <= 0 the atan2 branch is used as is.
+    mu_plus/mu_minus are the eigensystem-level weights; they are distinct
+    from the like-named solution constants in AnalyticCoefficients.
+    """
+
+    alpha: float
+    beta: float
+    theta: float
+    mu_plus: float
+    mu_minus: float
+
+
+@dataclass(frozen=True, eq=False)
+class AnalyticEigensystem:
+    """Closed-form eigenvalues/eigenvectors; orthogonality and trace are
+    measured by the audit, never assumed."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray  # columns
+    structure: EigStructureParams
+
+
+def analytic_eigensystem(p: SystemParams, t: float) -> AnalyticEigensystem:
+    """Evaluate the closed-form eigensystem exactly as written.
+
+    eps1 = r11 - r14, eps2 = r22 - r23, eps3/eps4 = -2 sqrt(a^2+b^2) mu_+/-,
+    with the eigenvector weights mu_+/- and angle theta taken from the
+    printed expressions. Raises _closed_form's errors, then ValueError at
+    alpha = beta = 0, where theta is undefined (t = 0 in particular), then
+    OverflowError where a norm sqrt(2 (1 + mu^2)) overflows as t -> 0.
+    """
+    c, rho = _closed_form(p, t)
+    ej, em, g = p.e_j1, p.e_m, p.gamma
+    s2 = math.sqrt(2.0)
+    alpha = ej * em * math.exp(-2.0 * g * t) / (4.0 * c.lambda3) * (c.cosh2 - c.cos1)
+    beta = s2 * ej * math.exp(-2.0 * g * t) / (8.0 * c.lambda3) * (
+        c.lambda2 * c.sinh2 + c.lambda1 * c.sin1)
+    if alpha == 0.0 and beta == 0.0:
+        raise ValueError("theta undefined at alpha = beta = 0 (t = 0 included)")
+    theta = math.atan2(beta, alpha)
+    r = math.hypot(alpha, beta)
+
+    (r11, _, _, r14), (_, r22, r23, _) = rho.real.tolist()[:2]
+    rad = (r11 + r14 + r22 + r23) ** 2 + 16.0 * (rho[0, 1] * rho[1, 0]).real
+    # rad = s^2 + 16 |r12|^2 >= 0 for the Hermitian closed form
+    root = math.sqrt(rad)
+    prefix = -r11 - r14 + r22 + r23
+    mu_p = (prefix + root) / (4.0 * r)
+    mu_m = (prefix - root) / (4.0 * r)
+    # the weights grow like 1/t as r -> 0; as Python floats they overflow without a warning
+    if not max(abs(mu_p), abs(mu_m)) <= math.sqrt(sys.float_info.max / 2.0):
+        raise OverflowError(f"weights {mu_p:.6e}, {mu_m:.6e} overflow sqrt(2 (1 + mu^2))")
+
+    eps = np.array([r11 - r14, r22 - r23, -2.0 * r * mu_p, -2.0 * r * mu_m])
+
+    v1 = np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex) / s2
+    v2 = np.array([0.0, -1.0, 1.0, 0.0], dtype=complex) / s2
+    ph = np.exp(-1j * theta)
+    v3 = np.array([1.0, mu_m * ph, mu_m * ph, 1.0], dtype=complex) / math.sqrt(2.0 * (1.0 + mu_m ** 2))
+    v4 = np.array([1.0, mu_p * ph, mu_p * ph, 1.0], dtype=complex) / math.sqrt(2.0 * (1.0 + mu_p ** 2))
+    vecs = np.column_stack([v1, v2, v3, v4])
+
+    structure = EigStructureParams(alpha=alpha, beta=beta, theta=theta,
+                                   mu_plus=mu_p, mu_minus=mu_m)
+    return AnalyticEigensystem(eigenvalues=_readonly(eps).real,
+                               eigenvectors=_readonly(vecs),
+                               structure=structure)
 
 
 @dataclass(frozen=True)
@@ -347,7 +436,7 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def audit_analytic(p: SystemParams, t_grid, tol: float = 1e-8) -> AuditReport:
+def audit_analytic(p: SystemParams, t_grid, tol: float = AUDIT_TOL) -> AuditReport:
     """Compare analytic_state_matrix against propagate_checked on a time grid.
 
     Every time is checked before any state is propagated. Domain errors and
@@ -368,12 +457,9 @@ def audit_analytic(p: SystemParams, t_grid, tol: float = 1e-8) -> AuditReport:
             continue
         dev = np.abs(candidate - oracle)
         max_dev = max(max_dev, float(dev.max()))
-        for i in range(4):
-            for j in range(4):
-                if dev[i, j] > tol:
-                    deviating.append((t, i + 1, j + 1,
-                                      complex(candidate[i, j]), complex(oracle[i, j]),
-                                      float(dev[i, j])))
+        # row-major, as plain ints, so that the JSON serializes
+        deviating.extend((t, i + 1, j + 1, complex(candidate[i, j]), complex(oracle[i, j]),
+                          float(dev[i, j])) for i, j in np.argwhere(dev > tol).tolist())
     verdict = "consistent" if (max_dev <= tol and not failures) else "inconsistent"
     return AuditReport(params=p, tolerance=tol, grid=grid,
                        max_abs_deviation=max_dev, deviating_entries=tuple(deviating),

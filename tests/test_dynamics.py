@@ -2,11 +2,13 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 import chargeqfi
 from chargeqfi.dynamics import (
+    AnalyticCoefficients,
     Liouvillian,
     analytic_coefficients,
     analytic_state_matrix,
@@ -624,6 +627,83 @@ def test_analytic_coefficient_domain_errors():
         analytic_coefficients(SystemParams.degenerate(e_j=1.0, e_m=-0.2, gamma=1.0), 1.0)
 
 
+P_NEGATIVE_RADICAND = SystemParams.degenerate(e_j=1.0, e_m=5.0, gamma=0.0)
+
+
+def closed_form_outcome(entry, p, t) -> str:
+    """The SHA-256 of a closed-form entry's result bytes, or its exception's class and text."""
+    try:
+        value = entry(p, t)
+    except Exception as exc:  # the class and text are the outcome
+        return f"{type(exc).__name__}: {exc}"
+    arrays = [value] if isinstance(value, np.ndarray) else [
+        value.eigenvalues, value.eigenvectors, np.array(dataclasses.astuple(value.structure))]
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+NOT_DEGENERATE = "ValueError: closed form requires identical qubits at the degeneracy point"
+NEGATIVE_RADICAND = "ValueError: lambda1/lambda2 radicand is negative (5.121904e+01, -7.809596e-01)"
+RANGE_ERROR = "OverflowError: math range error"
+
+
+# (p, t, outcome of analytic_state_matrix, outcome of analytic_eigensystem): result
+# bytes (x86-64, glibc) or errors at the edges of the closed form's domain. The state
+# matrix checks t first, the eigensystem evaluates the coefficients first. The
+# eigensystem at t = 1e-300 is test_analytic_eigensystem_overflows_typed_as_t_vanishes.
+@pytest.mark.parametrize("p,t,matrix,eigensystem", [
+    (P_REF, -1.0, "ValueError: t must be >= 0, got -1.0", "ValueError: t must be >= 0, got -1.0"),
+    (P_REF, 0.0, "413ffdcff5b663043c0a2c592912a88c5f4c320b726aaf54e9fc4c3f00839d1c",
+     "ValueError: theta undefined at alpha = beta = 0 (t = 0 included)"),
+    (P_REF, 2.0, "fc77b45e74b604b7f07ad8aa9d85a83aef978ef0402e0ba2c387b9a35da5f17e",
+     "02a10314cf45689b4fdfad6353fc59eafa7389b41f5e6cf616a616b8d64a8ee9"),
+    (P_REF, 1e3, RANGE_ERROR, RANGE_ERROR),
+    (P_REF, -1e300, "ValueError: t must be >= 0, got -1e+300", RANGE_ERROR),
+    (P_REF, 1e-300, "9fdd394800adef0fc6f71a020bac92ca31548c6d4072ec8250f0edede08ff6f9", None),
+    (P_REF, float("nan"), "ValueError: t must be finite, got nan",
+     "ValueError: t must be finite, got nan"),
+    (P_REF, float("inf"), "ValueError: t must be finite, got inf", "ValueError: math domain error"),
+    (P_OFF, -1.0, "ValueError: t must be >= 0, got -1.0", NOT_DEGENERATE),
+    (P_OFF, 2.0, NOT_DEGENERATE, NOT_DEGENERATE),
+    (P_NEGATIVE_RADICAND, -1.0, "ValueError: t must be >= 0, got -1.0", NEGATIVE_RADICAND),
+    (P_NEGATIVE_RADICAND, 2.0, NEGATIVE_RADICAND, NEGATIVE_RADICAND),
+])
+def test_closed_form_entries_fail_in_their_own_order(p, t, matrix, eigensystem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form_outcome(chargeqfi.analytic_state_matrix, p, t) == matrix
+        if eigensystem is not None:
+            assert closed_form_outcome(chargeqfi.analytic_eigensystem, p, t) == eigensystem
+
+
+def test_each_closed_form_entry_evaluates_the_coefficients_once(monkeypatch):
+    # each analytic_coefficients evaluation, under whichever module's name it is
+    # called, builds one AnalyticCoefficients
+    built = []
+
+    def counting(**fields):
+        built.append(fields)
+        return AnalyticCoefficients(**fields)
+
+    monkeypatch.setattr(dynamics, "AnalyticCoefficients", counting)
+    for entry in (chargeqfi.analytic_state_matrix, chargeqfi.analytic_eigensystem):
+        built.clear()
+        entry(P_REF, 2.0)
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("t", [1e-154, 1e-300, 1e-310])
+def test_analytic_eigensystem_overflows_typed_as_t_vanishes(t):
+    # alpha and beta vanish with t, so the printed weights mu grow like 1/t; their
+    # norms sqrt(2 (1 + mu^2)) overflow from t ~ 1e-154 and the weights from t ~ 1e-309,
+    # which once returned zero columns 3 and 4 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vecs = chargeqfi.analytic_eigensystem(P_REF, 1e-150).eigenvectors
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0.0, atol=1e-12)
+        with pytest.raises(OverflowError, match=r"overflow sqrt\(2 \(1 \+ mu\^2\)\)$"):
+            chargeqfi.analytic_eigensystem(P_REF, t)
+
+
 def test_audit_reports_known_deviation():
     rep = audit_analytic(P_REF, (0.5, 1.0, 2.0))
     assert rep.verdict == "inconsistent"
@@ -638,6 +718,31 @@ def test_audit_reports_known_deviation():
     parsed = json.loads(rep.to_json())
     assert parsed["verdict"] == "inconsistent"
     assert parsed["max_abs_deviation"] == rep.max_abs_deviation
+
+
+@pytest.mark.parametrize("tol,n_entries", [(None, 80), (0.05, 18)])
+def test_audit_deviation_table_is_the_entrywise_comparison(tol, n_entries):
+    # every entry over the tolerance (all 80 at the default, a subset at 0.05),
+    # row-major per time, with plain int indices
+    grid = (0.5, 1.0, 2.0, 5.0, 10.0)
+    rep = audit_analytic(P_REF, grid) if tol is None else audit_analytic(P_REF, grid, tol=tol)
+    assert rep.tolerance == (dynamics.AUDIT_TOL if tol is None else tol)
+    expected = []
+    for t, oracle in zip(grid, propagate_checked(BELL, [P_REF] * len(grid), grid)):
+        candidate = analytic_state_matrix(P_REF, t)
+        dev = np.abs(candidate - oracle)
+        for i in range(4):
+            for j in range(4):
+                if dev[i, j] > rep.tolerance:
+                    expected.append((t, i + 1, j + 1, complex(candidate[i, j]),
+                                     complex(oracle[i, j]), float(dev[i, j])))
+    assert len(expected) == n_entries
+    assert rep.deviating_entries == tuple(expected)
+    for entry in rep.deviating_entries:
+        assert [type(value) for value in entry] == [float, int, int, complex, complex, float]
+    parsed = json.loads(rep.to_json())["deviating_entries"]
+    assert [(e["t"], e["row"], e["col"], complex(*e["analytic"]), complex(*e["oracle"]),
+             e["abs_dev"]) for e in parsed] == expected
 
 
 def test_audit_verdict_with_loose_tolerance():

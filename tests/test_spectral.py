@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chargeqfi.dynamics import analytic_state_matrix, propagate_expm
+from chargeqfi.dynamics import analytic_eigensystem, analytic_state_matrix, propagate_expm
 from chargeqfi.model import (
     SystemParams,
     as_matrix,
@@ -14,12 +14,7 @@ from chargeqfi.model import (
     _state_contract,
 )
 from chargeqfi.errors import ContractViolationError
-from chargeqfi.spectral import (
-    EIGENVALUE_CLAMP,
-    analytic_eigensystem,
-    decompose_many,
-    spectral_decompose,
-)
+from chargeqfi.spectral import EIGENVALUE_CLAMP, decompose_many, spectral_decompose
 
 P_REF = SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4)
 BELL = bell_state_psi_plus()
