@@ -2,8 +2,7 @@
 
 Run from the repository root:
 
-    python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...] [--per-output]
-                                     [--dump OUT]
+    python3 scripts/output_digest.py [--checkout DIR] [--drop TEXT ...] [--dump OUT]
     python3 scripts/output_digest.py --compare A B
 
 DIR (default: the checkout holding this script) is a checkout of the
@@ -12,20 +11,18 @@ rebuilds the audit artifact. Two checkouts print the same digest exactly
 when every output below is byte-identical, so a change meant to keep the
 numbers can be compared with its parent. Each --drop TEXT is removed from
 every output before hashing, to compare across a deliberate rewording of
-one message. --per-output first prints one `label sha256` line per output,
-the label being the output's position and its first line (after the
-function's name for d_rho and spectral_derivative, which share a first
-line), so that two listings can be diffed to name the outputs that moved.
---dump OUT writes each output, as hashed, to OUT/<index>.out, so that
-`diff -r` of two dumps names the moved outputs and shows by how much in
-their CSV and JSON text; it does not change the digest. --compare A B reads
-two such dumps instead of a checkout: for each output whose bytes differ it
-prints the output's index, its label (its first line) and the largest relative
-change among the numbers it holds, or the two counts where the outputs hold
-different numbers of numbers, and it exits with 1 if any output differs. The
-numbers of an output are the decimal numbers of its text and the values of
-its raw float64 and complex128 arrays, each read after its `dtype shape` head
-(and the fault list of the interleaved states).
+one message. --dump OUT writes each output, as hashed, to OUT/<index>.out,
+or OUT/<index>.<function>.out for the d_rho and spectral_derivative outputs,
+which share a first line; `diff -r` of two dumps names the moved outputs and
+shows by how much in their CSV and JSON text. The function's name is not
+hashed, so --dump does not change the digest. --compare A B reads two such
+dumps instead of a checkout: for each output whose bytes differ it prints the
+output's index, its function's name if it has one, its first line and the
+largest relative change among the numbers it holds, or the two counts where
+the outputs hold different numbers of numbers, and it exits with 1 if any
+output differs. The numbers of an output are the decimal numbers of its text
+and the values of its raw float64 and complex128 arrays, each read after its
+`dtype shape` head (and the fault list of the interleaved states).
 
 The output set, at the default point (gamma 0.4, ej = em = 0.1) and off
 degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
@@ -271,6 +268,11 @@ def change(a: bytes, b: bytes) -> str:
     return f"max rel change {rel.max(initial=0.0):.3e}"
 
 
+def stem(name: str) -> str:
+    """A dump file's index and function name, as `<index> <function>`."""
+    return name.removesuffix(".out").replace(".", " ")
+
+
 def compare(dump_a: Path, dump_b: Path) -> int:
     """Print each output that differs between two --dump directories; 1 if any does."""
     names = sorted({path.name for path in (*dump_a.iterdir(), *dump_b.iterdir())})
@@ -281,9 +283,9 @@ def compare(dump_a: Path, dump_b: Path) -> int:
             a_bytes, b_bytes = a.read_bytes(), b.read_bytes()
             if a_bytes == b_bytes:
                 continue
-            print(f"{name[:-4]} {label(a_bytes)} {change(a_bytes, b_bytes)}")
+            print(f"{stem(name)} {label(a_bytes)} {change(a_bytes, b_bytes)}")
         else:
-            print(f"{name[:-4]} only in {a.parent if a.exists() else b.parent}")
+            print(f"{stem(name)} only in {a.parent if a.exists() else b.parent}")
         moved += 1
     print(f"{moved} of {len(names)} outputs differ")
     return 1 if moved else 0
@@ -294,10 +296,8 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--drop", action="append", default=[],
                         help="text removed from every output before hashing (repeatable)")
-    parser.add_argument("--per-output", action="store_true",
-                        help="list a label and a SHA-256 per output before the digest")
     parser.add_argument("--dump", type=Path, metavar="OUT",
-                        help="write each output, as hashed, to OUT/<index>.out")
+                        help="write each output, as hashed, to OUT/<index>[.<function>].out")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
                         help="list the outputs that differ between two --dump directories")
     args = parser.parse_args(argv)
@@ -309,8 +309,8 @@ def main(argv=None) -> int:
         args.dump.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     for index, output in enumerate(outputs):
-        # a (name, bytes) output is labelled with its function's name; the name is not hashed
-        name, output = output if isinstance(output, tuple) else ("", output)
+        # a (name, bytes) output carries its function's name into its dump file's name only
+        name, output = output if isinstance(output, tuple) else (None, output)
         # the temporary directory's name differs from run to run
         output = output.replace(tmp.encode(), b"TMP")
         for text in args.drop:
@@ -318,10 +318,8 @@ def main(argv=None) -> int:
         # length-prefixed, so that moving bytes between outputs changes the digest
         digest.update(len(output).to_bytes(8, "little") + output)
         if args.dump:
-            (args.dump / f"{index:03d}.out").write_bytes(output)
-        if args.per_output:
-            print(f"{index:03d} {f'{name} ' if name else ''}{label(output)} "
-                  f"{hashlib.sha256(output).hexdigest()}")
+            file_name = f"{index:03d}.out" if name is None else f"{index:03d}.{name}.out"
+            (args.dump / file_name).write_bytes(output)
     print(digest.hexdigest())
     return 0
 

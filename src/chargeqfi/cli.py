@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .model import MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, check_field
-from .dynamics import AUDIT_TOL, audit_analytic, check_time, check_tol, propagate_checked
+from .dynamics import audit_analytic, check_time, propagate_checked
 from .qfi import FD_STEP_DEFAULT, EstimandTag, check_fd_step, qfi_points
 from .sweeps import (
     AXES,
@@ -150,7 +150,6 @@ def _build_parser() -> _Parser:
     _add_param_flags(audit)
     audit.add_argument("--t-max", type=float, default=10.0)
     audit.add_argument("--points", type=int, default=21)
-    audit.add_argument("--tol", type=float, default=AUDIT_TOL)
     audit.add_argument("--out", type=str, default=None)
     return parser
 
@@ -267,9 +266,7 @@ def _cmd_figure(args) -> int:
 def _cmd_audit(args) -> int:
     p = _build_params(args, {})
     grid = _time_grid(args)
-    _check_option("--tol", check_tol, args.tol)
-    report = audit_analytic(p, grid, tol=args.tol)
-    _write_text(args.out, report.to_json() + "\n")
+    _write_text(args.out, audit_analytic(p, grid).to_json() + "\n")
     return 0
 
 

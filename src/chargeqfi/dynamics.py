@@ -21,7 +21,8 @@ DensityMatrix applies); the core returns bare states, so each of its callers
 applies the contract. The printed closed form at the degeneracy point, rho(t)
 and its eigensystem, is kept verbatim even though its lambda3 radicand is
 dimensionally suspect; _closed_form evaluates it once per (p, t) for both,
-and audit_analytic measures rho(t) against propagate_checked.
+after analytic_coefficients checks t, and audit_analytic measures rho(t)
+against propagate_checked at AUDIT_TOL.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .model import (
 
 # generators exponentiated per expm call in _propagate_rows
 EXPM_CHUNK = 128
-# the closed form's largest accepted deviation in audit_analytic, audit --tol and the artifact
+# the closed form's largest accepted deviation, in audit_analytic, audit and the artifact
 AUDIT_TOL = 1e-8
 
 # sum_j (2 z_a z_b - z_a^2 - z_b^2) over the diagonals z of Z1 and Z2; rho times it,
@@ -88,12 +89,6 @@ def check_time(t: float) -> None:
         raise ValueError(f"t must be >= 0, got {t}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-
-
-def check_tol(tol: float) -> None:
-    """ValueError unless the audit tolerance is a finite number > 0."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
@@ -254,11 +249,12 @@ class AnalyticCoefficients:
 def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
     """Evaluate the closed-form coefficient set at time t.
 
-    Raises ValueError on a negative radicand; nothing is clamped or
-    corrected. The lambda3 radicand contains the term 2 E_m (E_j^2 +
-    gamma^2)^2, which mixes energy powers; it is evaluated exactly as
-    written.
+    Raises check_time's ValueError, then ValueError off the degeneracy point,
+    then on a negative radicand, then OverflowError at large t; nothing is
+    clamped or corrected. The lambda3 radicand contains the term 2 E_m (E_j^2
+    + gamma^2)^2, which mixes energy powers; it is evaluated exactly as written.
     """
+    check_time(t)
     if not p.degenerate_identical():
         raise ValueError("closed form requires identical qubits at the degeneracy point")
     ej, em, g = p.e_j1, p.e_m, p.gamma
@@ -295,9 +291,8 @@ def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
 
 def _closed_form(p: SystemParams, t: float) -> tuple[AnalyticCoefficients, np.ndarray]:
     """The printed coefficients and rho(t) at (p, t), each evaluated once; raises
-    analytic_coefficients' errors, then check_time's, then exp's overflow at large t."""
+    analytic_coefficients' errors, then exp's overflow at large t."""
     c = analytic_coefficients(p, t)
-    check_time(t)
     em, g = p.e_m, p.gamma
     lam123 = c.lambda1 * c.lambda2 * c.lambda3
     grow = 2.0 * lam123 * math.exp(2.0 * g * t)
@@ -324,8 +319,8 @@ def _closed_form(p: SystemParams, t: float) -> tuple[AnalyticCoefficients, np.nd
 
 
 def analytic_state_matrix(p: SystemParams, t: float) -> np.ndarray:
-    """Closed-form rho(t) evaluated verbatim, t checked first; may violate positivity (audited)."""
-    check_time(t)
+    """Closed-form rho(t) evaluated verbatim, with _closed_form's errors; may violate
+    positivity (audited)."""
     return _closed_form(p, t)[1]
 
 
@@ -361,9 +356,10 @@ def analytic_eigensystem(p: SystemParams, t: float) -> AnalyticEigensystem:
 
     eps1 = r11 - r14, eps2 = r22 - r23, eps3/eps4 = -2 sqrt(a^2+b^2) mu_+/-,
     with the eigenvector weights mu_+/- and angle theta taken from the
-    printed expressions. Raises _closed_form's errors, then ValueError at
-    alpha = beta = 0, where theta is undefined (t = 0 in particular), then
-    OverflowError where a norm sqrt(2 (1 + mu^2)) overflows as t -> 0.
+    printed expressions. Raises _closed_form's errors (the time's first),
+    then ValueError at alpha = beta = 0, where theta is undefined (t = 0 in
+    particular), then OverflowError where a norm sqrt(2 (1 + mu^2))
+    overflows as t -> 0.
     """
     c, rho = _closed_form(p, t)
     ej, em, g = p.e_j1, p.e_m, p.gamma
@@ -436,15 +432,15 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def audit_analytic(p: SystemParams, t_grid, tol: float = AUDIT_TOL) -> AuditReport:
+def audit_analytic(p: SystemParams, t_grid) -> AuditReport:
     """Compare analytic_state_matrix against propagate_checked on a time grid.
 
     Every time is checked before any state is propagated. Domain errors and
     overflows in the closed form become audit entries, never exceptions.
-    Verdict is "consistent" iff the largest entrywise deviation over the grid
-    stays within tol.
+    Verdict is "consistent" iff the closed form holds at every time and its
+    largest entrywise deviation over the grid stays within AUDIT_TOL, the
+    report's one tolerance.
     """
-    check_tol(tol)
     grid = tuple(float(t) for t in t_grid)
     max_dev = 0.0
     deviating = []
@@ -459,8 +455,8 @@ def audit_analytic(p: SystemParams, t_grid, tol: float = AUDIT_TOL) -> AuditRepo
         max_dev = max(max_dev, float(dev.max()))
         # row-major, as plain ints, so that the JSON serializes
         deviating.extend((t, i + 1, j + 1, complex(candidate[i, j]), complex(oracle[i, j]),
-                          float(dev[i, j])) for i, j in np.argwhere(dev > tol).tolist())
-    verdict = "consistent" if (max_dev <= tol and not failures) else "inconsistent"
-    return AuditReport(params=p, tolerance=tol, grid=grid,
+                          float(dev[i, j])) for i, j in np.argwhere(dev > AUDIT_TOL).tolist())
+    verdict = "consistent" if (max_dev <= AUDIT_TOL and not failures) else "inconsistent"
+    return AuditReport(params=p, tolerance=AUDIT_TOL, grid=grid,
                        max_abs_deviation=max_dev, deviating_entries=tuple(deviating),
                        failures=tuple(failures), verdict=verdict)

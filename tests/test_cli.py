@@ -308,13 +308,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run_cli(["evolve", "--t-max", value, "--points", "3"], capsys)[0] == 1
         assert run_cli(["audit", "--t-max", value, "--points", "3"], capsys)[0] == 1
         assert run_cli(["qfi", "--param", "gamma", "--t", value], capsys)[0] == 1
-        assert run_cli(["audit", "--tol", value, "--points", "3"], capsys)[0] == 1
         assert run_cli(["sweep", "--param", "gamma", "--axis-end", value], capsys)[0] == 1
     code, _, err = run_cli(["sweep", "--param", "gamma", "--axis", "gamma", "--axis-start=-1e308",
                             "--axis-end=1e308", "--points", "3"], capsys)
     assert code == 1 and err.startswith("error: axis_end - axis_start must be finite")
     assert run_cli(["qfi", "--param", "gamma", "--fd-step", "1"], capsys)[0] == 1
-    assert run_cli(["audit", "--tol", "0", "--points", "3"], capsys)[0] == 1
     out_dir = tmp_path / "figures"
     assert run_cli(["figure", "fig1a", "--fd-step", "1", "--out", str(out_dir)], capsys)[0] == 1
     assert not out_dir.exists()
@@ -350,6 +348,15 @@ def test_parallelism_is_not_an_option(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == "error: unrecognized arguments: --parallelism 2\n"
     assert not out_dir.exists()
+
+
+def test_audit_tolerance_is_not_an_option(capsys):
+    # the audit judges at dynamics.AUDIT_TOL only, and its report says so
+    code, out, err = run_cli(["audit", "--tol", "1e-3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --tol 1e-3\n"
+    code, out, _ = run_cli(["audit", "--points", "3"], capsys)
+    assert code == 0 and '"tolerance": 1e-08' in out
 
 
 def test_numerical_failures_exit_2(capsys):

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -636,43 +638,98 @@ def closed_form_outcome(entry, p, t) -> str:
         value = entry(p, t)
     except Exception as exc:  # the class and text are the outcome
         return f"{type(exc).__name__}: {exc}"
-    arrays = [value] if isinstance(value, np.ndarray) else [
-        value.eigenvalues, value.eigenvectors, np.array(dataclasses.astuple(value.structure))]
+    if isinstance(value, np.ndarray):
+        arrays = [value]
+    elif isinstance(value, AnalyticCoefficients):
+        arrays = [np.array(dataclasses.astuple(value))]
+    else:
+        arrays = [value.eigenvalues, value.eigenvectors,
+                  np.array(dataclasses.astuple(value.structure))]
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
+CLOSED_FORM_ENTRIES = (analytic_coefficients, analytic_state_matrix, chargeqfi.analytic_eigensystem)
 NOT_DEGENERATE = "ValueError: closed form requires identical qubits at the degeneracy point"
 NEGATIVE_RADICAND = "ValueError: lambda1/lambda2 radicand is negative (5.121904e+01, -7.809596e-01)"
 RANGE_ERROR = "OverflowError: math range error"
+BAD_TIMES = [(-1.0, "ValueError: t must be >= 0, got -1.0"),
+             (-1e300, "ValueError: t must be >= 0, got -1e+300"),
+             (float("nan"), "ValueError: t must be finite, got nan"),
+             (float("inf"), "ValueError: t must be finite, got inf")]
 
 
-# (p, t, outcome of analytic_state_matrix, outcome of analytic_eigensystem): result
-# bytes (x86-64, glibc) or errors at the edges of the closed form's domain. The state
-# matrix checks t first, the eigensystem evaluates the coefficients first. The
-# eigensystem at t = 1e-300 is test_analytic_eigensystem_overflows_typed_as_t_vanishes.
-@pytest.mark.parametrize("p,t,matrix,eigensystem", [
-    (P_REF, -1.0, "ValueError: t must be >= 0, got -1.0", "ValueError: t must be >= 0, got -1.0"),
-    (P_REF, 0.0, "413ffdcff5b663043c0a2c592912a88c5f4c320b726aaf54e9fc4c3f00839d1c",
-     "ValueError: theta undefined at alpha = beta = 0 (t = 0 included)"),
-    (P_REF, 2.0, "fc77b45e74b604b7f07ad8aa9d85a83aef978ef0402e0ba2c387b9a35da5f17e",
-     "02a10314cf45689b4fdfad6353fc59eafa7389b41f5e6cf616a616b8d64a8ee9"),
-    (P_REF, 1e3, RANGE_ERROR, RANGE_ERROR),
-    (P_REF, -1e300, "ValueError: t must be >= 0, got -1e+300", RANGE_ERROR),
-    (P_REF, 1e-300, "9fdd394800adef0fc6f71a020bac92ca31548c6d4072ec8250f0edede08ff6f9", None),
-    (P_REF, float("nan"), "ValueError: t must be finite, got nan",
-     "ValueError: t must be finite, got nan"),
-    (P_REF, float("inf"), "ValueError: t must be finite, got inf", "ValueError: math domain error"),
-    (P_OFF, -1.0, "ValueError: t must be >= 0, got -1.0", NOT_DEGENERATE),
-    (P_OFF, 2.0, NOT_DEGENERATE, NOT_DEGENERATE),
-    (P_NEGATIVE_RADICAND, -1.0, "ValueError: t must be >= 0, got -1.0", NEGATIVE_RADICAND),
-    (P_NEGATIVE_RADICAND, 2.0, NEGATIVE_RADICAND, NEGATIVE_RADICAND),
-])
-def test_closed_form_entries_fail_in_their_own_order(p, t, matrix, eigensystem):
+# (set name, p, t, error): every closed-form entry fails with one error, in one order: the
+# time, then the degeneracy point, then the radicands, then overflow at large t
+ONE_ORDER = [
+    *((name, p, t, error) for name, p in (("reference", P_REF), ("off-degenerate", P_OFF),
+                                          ("negative-radicand", P_NEGATIVE_RADICAND))
+      for t, error in BAD_TIMES),
+    ("off-degenerate", P_OFF, 2.0, NOT_DEGENERATE),
+    ("negative-radicand", P_NEGATIVE_RADICAND, 2.0, NEGATIVE_RADICAND),
+    ("reference", P_REF, 1e3, RANGE_ERROR),
+]
+
+
+@pytest.mark.parametrize("p,t,error", [pytest.param(p, t, error, id=f"{name}-{t!r}")
+                                       for name, p, t, error in ONE_ORDER])
+def test_closed_form_entries_fail_in_one_order(p, t, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert closed_form_outcome(chargeqfi.analytic_state_matrix, p, t) == matrix
-        if eigensystem is not None:
-            assert closed_form_outcome(chargeqfi.analytic_eigensystem, p, t) == eigensystem
+        for entry in CLOSED_FORM_ENTRIES:
+            assert closed_form_outcome(entry, p, t) == error
+
+
+# (entry, t, outcome) at P_REF: result bytes (x86-64, glibc), or the eigensystem's own later
+# failure at t = 0. The eigensystem at t = 1e-300 is
+# test_analytic_eigensystem_overflows_typed_as_t_vanishes.
+PINNED_RESULTS = [
+    (analytic_coefficients, 0.0,
+     "665efad48f137f814e79c93ffee8340cac42524d383f5de20a45a3c2ac9e2b82"),
+    (analytic_state_matrix, 0.0,
+     "413ffdcff5b663043c0a2c592912a88c5f4c320b726aaf54e9fc4c3f00839d1c"),
+    (chargeqfi.analytic_eigensystem, 0.0,
+     "ValueError: theta undefined at alpha = beta = 0 (t = 0 included)"),
+    (analytic_coefficients, 2.0,
+     "b5ca90207c105bf5699b226230c2621c348963e96d788861d2d0407e3a8283de"),
+    (analytic_state_matrix, 2.0,
+     "fc77b45e74b604b7f07ad8aa9d85a83aef978ef0402e0ba2c387b9a35da5f17e"),
+    (chargeqfi.analytic_eigensystem, 2.0,
+     "02a10314cf45689b4fdfad6353fc59eafa7389b41f5e6cf616a616b8d64a8ee9"),
+    (analytic_coefficients, 1e-300,
+     "441d267b0063e16123c1489f1060fbb28f716dac10b1e59f9bb6ba12b7926c26"),
+    (analytic_state_matrix, 1e-300,
+     "9fdd394800adef0fc6f71a020bac92ca31548c6d4072ec8250f0edede08ff6f9"),
+]
+
+
+@pytest.mark.parametrize("entry,t,outcome", [
+    pytest.param(entry, t, outcome, id=f"{entry.__name__}-{t!r}")
+    for entry, t, outcome in PINNED_RESULTS])
+def test_closed_form_results_are_pinned(entry, t, outcome):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form_outcome(entry, P_REF, t) == outcome
+
+
+def test_each_closed_form_entry_checks_the_time_once_and_first(monkeypatch):
+    # check_time and every math-module call of the dynamics module, in call order
+    calls = []
+
+    def logged(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(dynamics, "check_time", logged("check_time", check_time))
+    monkeypatch.setattr(dynamics, "math", SimpleNamespace(**{
+        name: logged("math", value) if callable(value) else value
+        for name, value in vars(math).items() if not name.startswith("_")}))
+    for entry in CLOSED_FORM_ENTRIES:
+        calls.clear()
+        entry(P_REF, 2.0)
+        assert calls[0] == "check_time" and calls.count("check_time") == 1
+        assert "math" in calls
 
 
 def test_each_closed_form_entry_evaluates_the_coefficients_once(monkeypatch):
@@ -720,13 +777,11 @@ def test_audit_reports_known_deviation():
     assert parsed["max_abs_deviation"] == rep.max_abs_deviation
 
 
-@pytest.mark.parametrize("tol,n_entries", [(None, 80), (0.05, 18)])
-def test_audit_deviation_table_is_the_entrywise_comparison(tol, n_entries):
-    # every entry over the tolerance (all 80 at the default, a subset at 0.05),
-    # row-major per time, with plain int indices
+def test_audit_deviation_table_is_the_entrywise_comparison():
+    # every entry over the tolerance (all 80), row-major per time, with plain int indices
     grid = (0.5, 1.0, 2.0, 5.0, 10.0)
-    rep = audit_analytic(P_REF, grid) if tol is None else audit_analytic(P_REF, grid, tol=tol)
-    assert rep.tolerance == (dynamics.AUDIT_TOL if tol is None else tol)
+    rep = audit_analytic(P_REF, grid)
+    assert rep.tolerance == dynamics.AUDIT_TOL
     expected = []
     for t, oracle in zip(grid, propagate_checked(BELL, [P_REF] * len(grid), grid)):
         candidate = analytic_state_matrix(P_REF, t)
@@ -736,7 +791,7 @@ def test_audit_deviation_table_is_the_entrywise_comparison(tol, n_entries):
                 if dev[i, j] > rep.tolerance:
                     expected.append((t, i + 1, j + 1, complex(candidate[i, j]),
                                      complex(oracle[i, j]), float(dev[i, j])))
-    assert len(expected) == n_entries
+    assert len(expected) == 80
     assert rep.deviating_entries == tuple(expected)
     for entry in rep.deviating_entries:
         assert [type(value) for value in entry] == [float, int, int, complex, complex, float]
@@ -745,10 +800,18 @@ def test_audit_deviation_table_is_the_entrywise_comparison(tol, n_entries):
              e["abs_dev"]) for e in parsed] == expected
 
 
-def test_audit_verdict_with_loose_tolerance():
-    rep = audit_analytic(P_REF, (0.5, 1.0), tol=1.0)
-    assert rep.verdict == "consistent"
-    assert rep.deviating_entries == ()
+@pytest.mark.parametrize("offset,verdict,n_entries", [(0.5, "consistent", 0),
+                                                       (2.0, "inconsistent", 32)])
+def test_audit_judges_at_the_audit_tolerance(monkeypatch, offset, verdict, n_entries):
+    # a closed form that is the propagated state, every entry moved by offset * AUDIT_TOL
+    def shifted(p, t):
+        return propagate_checked(BELL, [p], [t])[0] + offset * dynamics.AUDIT_TOL
+
+    monkeypatch.setattr(dynamics, "analytic_state_matrix", shifted)
+    rep = audit_analytic(P_REF, (0.5, 1.0))
+    assert rep.tolerance == dynamics.AUDIT_TOL
+    assert rep.verdict == verdict
+    assert len(rep.deviating_entries) == n_entries and rep.failures == ()
 
 
 def test_audit_grid_may_be_a_generator():
@@ -764,12 +827,6 @@ def test_audit_of_an_empty_grid_is_consistent():
     assert rep.verdict == "consistent"
     assert rep.grid == () and rep.max_abs_deviation == 0.0
     assert rep.deviating_entries == () and rep.failures == ()
-
-
-def test_audit_tolerance_validation():
-    for tol in (0.0, -1e-8, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^tol must be finite and > 0"):
-            audit_analytic(P_REF, (1.0,), tol=tol)
 
 
 def test_audit_collects_domain_failures():
