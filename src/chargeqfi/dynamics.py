@@ -188,11 +188,9 @@ def propagate_rk(rho0, p: SystemParams, t: float) -> DensityMatrix:
     factors are built once per integration, not once per right-hand-side
     call. The relative tolerance is 1e-9 and the absolute floor 1e-12.
 
-    The step count, and so the cost, grows about linearly with t at large t:
-    at ng 0.45/0.55, ej 0.2/0.3, em 0.15, gamma 0.3 one call takes 16-29 ms at
-    t = 100, 38-64 ms at t = 1e3 and 0.35-0.41 s at t = 1e4 (2-core Xeon, BLAS
-    1 thread). t is bounded only by check_time, so a call at t = 1e300 never
-    returns; propagate_expm answers any finite t at once.
+    The step count, and so the cost, grows about linearly with t at large t
+    (README has the measured times). t is bounded only by check_time, so a call
+    at t = 1e300 never returns; propagate_expm answers any finite t at once.
     """
     check_time(t)
     r0 = as_matrix(rho0)
@@ -250,9 +248,10 @@ def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
     """Evaluate the closed-form coefficient set at time t.
 
     Raises check_time's ValueError, then ValueError off the degeneracy point,
-    then on a negative radicand, then OverflowError at large t; nothing is
-    clamped or corrected. The lambda3 radicand contains the term 2 E_m (E_j^2
-    + gamma^2)^2, which mixes energy powers; it is evaluated exactly as written.
+    then on a negative radicand, then on vanishing coefficients, then
+    OverflowError at large t; nothing is clamped or corrected. The lambda3
+    radicand contains the term 2 E_m (E_j^2 + gamma^2)^2, which mixes energy
+    powers; it is evaluated exactly as written.
     """
     check_time(t)
     if not p.degenerate_identical():
@@ -270,7 +269,7 @@ def analytic_coefficients(p: SystemParams, t: float) -> AnalyticCoefficients:
     lam1 = math.sqrt(rad1)
     lam2 = math.sqrt(rad2)
     lam123 = lam1 * lam2 * lam3
-    if lam123 == 0.0 or lam3 == 0.0:
+    if lam123 == 0.0:
         raise ValueError("degenerate closed-form coefficients: lambda1*lambda2*lambda3 = 0")
     b = g ** 2 + em ** 2 - ej ** 2
     s2 = math.sqrt(2.0)

@@ -9,15 +9,16 @@ between the two is a real cross-check, not bookkeeping. The routes share
 the propagated states, the base eigensystem and the difference formula,
 never a derivative: the SLD differences rho itself.
 
-One row core, _derivative_rows, shifts the estimand by +h and -h and takes
-the central difference of rho and of the matched eigensystems. qfi_points
-reads both routes from it over a batch of points, d_rho and
-spectral_derivative over one; qfi_components and qfi_sld are one-point
-qfi_points calls. A point reports its first failure in the order: domain
-(gamma < 0, then t, then the step) -> state contract of the base, +h and -h
-states (its last check is the eigen residual) -> branch matching ->
-breakdown floors. d_rho and the SLD value stop after the second and
-spectral_derivative after the third.
+One row core, _derivative_rows, shifts the estimand by +h and -h, reads the
+state contract and eigensystems of all three states from one
+spectral.decompose_many call and takes the central difference of rho and of
+the matched eigensystems. qfi_points reads both routes from it over a batch
+of points, d_rho and spectral_derivative over one; qfi_components and
+qfi_sld are one-point qfi_points calls. A point reports its first failure
+in the order: domain (gamma < 0, then t, then the step) -> state contract of
+the base, +h and -h states (its last check is the eigen residual) -> branch
+matching -> breakdown floors. d_rho and the SLD value stop after the second
+and spectral_derivative after the third.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateDerivativeError
 from .model import (MODEL_NAMES, PARAM_FIELDS, SystemParams, bell_state_psi_plus, check_field,
-                    param_rows, _readonly, _state_contract)
+                    param_rows, _readonly)
 from .dynamics import check_time, _propagate_rows
 from .spectral import EIGENVALUE_CLAMP, decompose_many
 
@@ -144,8 +145,8 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     The arrays run over the points in domain, ks: base is (eigenvalues,
     eigenvectors, clamped, n_clamped) of the base states, derivatives is
     (d_eigenvalues, d_eigenvectors, d_rho). One _propagate_rows call, one
-    state contract over its stack, whose one batched eigh the decomposition
-    reuses, and one matching call serve all points and sides.
+    decompose_many call over its stack (the state contract and its one
+    batched eigh) and one matching call serve all points and sides.
     """
     faults = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
@@ -165,11 +166,10 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     cols = [PARAM_FIELDS.index(name) for name in eta.fields]
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    state_faults, states, vals, vecs = _state_contract(
-        _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3))
     # a point with a faulty state fails before any eigen result of it is read; the
     # contract's stand-in keeps a non-finite or huge state out of the sums' warnings
-    vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
+    state_faults, states, vals, vecs, clamped, n_clamped = decompose_many(
+        _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3))
     side_vals, side_vecs, match_faults = _match_branches(np.tile(vecs[:n], (2, 1, 1)),
                                                          vals[n:], vecs[n:])
     # The one central difference, of the matched eigensystems and of rho. It

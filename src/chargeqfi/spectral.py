@@ -5,9 +5,9 @@ Gauge convention: eigenvalues sorted descending; each eigenvector is scaled
 by a unit phase so that its largest-magnitude entry is real and
 non-negative (bit-exact magnitude ties resolved toward the lowest index).
 Identical input bits therefore produce identical output bits.
-The eigensystem is the state contract's one eigh (model._state_contract),
-whose eigen residual the contract checks: each state is eigen-solved and
-checked once.
+decompose_many is the one call from a stack of states to its checked
+eigensystem, the state contract (model._state_contract) and its one eigh:
+each state is eigen-solved and checked once.
 """
 
 from __future__ import annotations
@@ -52,26 +52,24 @@ def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose_many(vals: np.ndarray, vecs: np.ndarray) -> tuple:
-    """spectral_decompose over the eigh (vals, vecs) of model._state_contract.
-
-    Orders descending, fixes the gauge and clamps. Returns the stacked
-    (eigenvalues, eigenvectors, clamped, n_clamped).
-    """
+def decompose_many(mats: np.ndarray) -> tuple:
+    """The state contract and eigensystem of an (n, 4, 4) stack: (faults, solved,
+    eigenvalues, eigenvectors, clamped, n_clamped), the contract's faults and stand-in
+    stack, then its one eigh ordered descending, gauge-fixed and clamped."""
+    faults, solved, vals, vecs = _state_contract(mats)
     vals = vals[..., ::-1]
     below = vals < EIGENVALUE_CLAMP
-    return vals, _fix_gauge(vecs[..., ::-1]), np.where(below, 0.0, vals), below.sum(axis=-1)
+    return (faults, solved, vals, _fix_gauge(vecs[..., ::-1]), np.where(below, 0.0, vals),
+            below.sum(axis=-1))
 
 
 def spectral_decompose(rho) -> SpectralDecomposition:
     """Descending, gauge-fixed eigensystem of a state; a matrix that is not a
     state raises the state contract's ContractViolationError (state_faults)."""
-    (fault,), _, vals, vecs = _state_contract(as_matrix(rho)[np.newaxis])
+    (fault,), _, vals, vecs, clamped, n_clamped = decompose_many(as_matrix(rho)[np.newaxis])
     if fault:
         raise fault
-    vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
     return SpectralDecomposition(eigenvalues=_readonly(vals[0]).real,
                                  eigenvectors=_readonly(vecs[0]),
                                  clamped=_readonly(clamped[0]).real,
                                  n_clamped=int(n_clamped[0]))
-

@@ -37,7 +37,7 @@ from chargeqfi.dynamics import (
     _propagate_rows,
 )
 from chargeqfi import dynamics, model
-from chargeqfi.errors import ContractViolationError
+from chargeqfi.errors import ContractViolationError, IntegrationError
 from chargeqfi.qfi import FD_STEP_DEFAULT, EstimandTag
 from chargeqfi.sweeps import FIGURES, SweepConfig, run_sweep, sweep_to_csv
 from chargeqfi.model import (
@@ -166,6 +166,19 @@ def test_propagate_rk_matches_expm():
 def test_propagate_rk_t0_short_circuits():
     out = propagate_rk(BELL, P_REF, 0.0)
     assert max_abs_diff(as_matrix(out), as_matrix(BELL)) == 0.0
+
+
+def test_propagate_rk_reports_a_failed_integration(monkeypatch):
+    import scipy.integrate
+
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, message="step size too small")
+
+    # propagate_rk imports solve_ivp at call time
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    with pytest.raises(IntegrationError,
+                       match="^adaptive integration failed: step size too small$"):
+        propagate_rk(BELL, P_REF, 1.0)
 
 
 def test_propagate_argument_validation():
@@ -307,6 +320,37 @@ def test_propagate_checked_rejects_unequal_lengths(monkeypatch, n_params, n_time
     times = [-1.0] * n_times
     with pytest.raises(ValueError, match=f"^{n_params} parameter sets but {n_times} times$"):
         propagate_checked(BELL, [P_REF] * n_params, times)
+
+
+# columns v1 = (-|00> + |11>)/sqrt2, v2 = (-|01> + |10>)/sqrt2, w1 = (|00> + |11>)/sqrt2 and
+# w2 = (|01> + |10>)/sqrt2; at degeneracy a state is diag(eps1, eps2) on v1, v2 plus a 2x2
+# block on w1, w2
+BLOCK_BASIS = np.array([[-1, 0, 1, 0], [0, -1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]]) / np.sqrt(2.0)
+OUTSIDE_BLOCKS = ~np.eye(4, dtype=bool)
+OUTSIDE_BLOCKS[2:, 2:] = False
+
+
+def outside_blocks(params, times) -> float:
+    """Largest |entry| outside the 2+2 structure over the propagate_checked states of
+    every set in params at every time."""
+    mats = propagate_checked(BELL, [p for p in params for _ in times], list(times) * len(params))
+    return float(np.abs((BLOCK_BASIS.T @ mats @ BLOCK_BASIS)[:, OUTSIDE_BLOCKS]).max())
+
+
+def test_degenerate_states_hold_the_two_plus_two_block():
+    times = np.linspace(0.0, 10.0, 101).tolist()
+    curves = [p for spec in FIGURES.values() for _, p in spec.curves]
+    presets = list(dict.fromkeys(curves))
+    assert (len(curves), len(presets)) == (24, 5)
+    rng = np.random.default_rng(12)
+    seeded = [SystemParams.degenerate(e_j=e_j, e_m=e_m, gamma=gamma)
+              for e_j, e_m, gamma in rng.uniform(0.0, 1.0, (20, 3)).tolist()]
+    # measured: 1.7e-16 at the presets and 4.1e-16 at the seeded sets
+    assert outside_blocks(presets, times) <= 1e-14
+    assert outside_blocks(seeded, times) <= 1e-14
+    # the structure is a property of the degeneracy point: off it, it breaks (0.19)
+    off = SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    assert outside_blocks([off], times) > 0.1
 
 
 def test_expm_states_is_scipy_expm_byte_for_byte():
@@ -630,6 +674,8 @@ def test_analytic_coefficient_domain_errors():
 
 
 P_NEGATIVE_RADICAND = SystemParams.degenerate(e_j=1.0, e_m=5.0, gamma=0.0)
+# e_j = gamma and e_m = 0 zero all three radicands, so lambda1 = lambda2 = lambda3 = 0
+P_VANISHING = SystemParams.degenerate(e_j=0.3, e_m=0.0, gamma=0.3)
 
 
 def closed_form_outcome(entry, p, t) -> str:
@@ -651,6 +697,7 @@ def closed_form_outcome(entry, p, t) -> str:
 CLOSED_FORM_ENTRIES = (analytic_coefficients, analytic_state_matrix, chargeqfi.analytic_eigensystem)
 NOT_DEGENERATE = "ValueError: closed form requires identical qubits at the degeneracy point"
 NEGATIVE_RADICAND = "ValueError: lambda1/lambda2 radicand is negative (5.121904e+01, -7.809596e-01)"
+VANISHING = "degenerate closed-form coefficients: lambda1*lambda2*lambda3 = 0"
 RANGE_ERROR = "OverflowError: math range error"
 BAD_TIMES = [(-1.0, "ValueError: t must be >= 0, got -1.0"),
              (-1e300, "ValueError: t must be >= 0, got -1e+300"),
@@ -659,13 +706,16 @@ BAD_TIMES = [(-1.0, "ValueError: t must be >= 0, got -1.0"),
 
 
 # (set name, p, t, error): every closed-form entry fails with one error, in one order: the
-# time, then the degeneracy point, then the radicands, then overflow at large t
+# time, then the degeneracy point, then the radicands, then vanishing coefficients, then
+# overflow at large t
 ONE_ORDER = [
     *((name, p, t, error) for name, p in (("reference", P_REF), ("off-degenerate", P_OFF),
-                                          ("negative-radicand", P_NEGATIVE_RADICAND))
+                                          ("negative-radicand", P_NEGATIVE_RADICAND),
+                                          ("vanishing", P_VANISHING))
       for t, error in BAD_TIMES),
     ("off-degenerate", P_OFF, 2.0, NOT_DEGENERATE),
     ("negative-radicand", P_NEGATIVE_RADICAND, 2.0, NEGATIVE_RADICAND),
+    ("vanishing", P_VANISHING, 1.0, f"ValueError: {VANISHING}"),
     ("reference", P_REF, 1e3, RANGE_ERROR),
 ]
 
@@ -833,6 +883,10 @@ def test_audit_collects_domain_failures():
     rep = audit_analytic(SystemParams.degenerate(e_j=1.0, e_m=5.0, gamma=0.0), (1.0,))
     assert rep.verdict == "inconsistent"
     assert len(rep.failures) == 1
+    grid = (0.0, 0.5, 1.0, 2.0)
+    rep = audit_analytic(P_VANISHING, grid)
+    assert rep.failures == tuple((t, VANISHING) for t in grid)
+    assert rep.verdict == "inconsistent"
 
 
 def test_audit_collects_closed_form_overflow():

@@ -146,6 +146,11 @@ def test_density_matrix_is_read_only():
     assert as_matrix(rho)[0, 0] == 0.0
 
 
+def test_as_matrix_rejects_a_non_4x4_array():
+    with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
+        as_matrix(np.eye(2))
+
+
 def test_density_matrix_rejects_bad_inputs():
     good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     DensityMatrix(good)

@@ -11,7 +11,6 @@ from chargeqfi.model import (
     as_matrix,
     bell_state_psi_plus,
     max_abs_diff,
-    _state_contract,
 )
 from chargeqfi.errors import ContractViolationError
 from chargeqfi.spectral import EIGENVALUE_CLAMP, decompose_many, spectral_decompose
@@ -149,9 +148,9 @@ def test_decompose_rejects_non_finite(value):
 
 
 def test_decompose_many_reports_non_finite_matrices_per_point():
-    # the state contract reports each point's fault and hands the decomposition
-    # its eigh of the stack, a non-finite matrix solved as the eye(4)/4 stand-in;
-    # the decomposition only orders, gauge-fixes and clamps
+    # decompose_many runs the state contract over the stack: each point's fault,
+    # and the eigensystem of its one eigh, a non-finite matrix solved as the
+    # eye(4)/4 stand-in
     nan_entry = as_matrix(BELL).copy()
     nan_entry[0, 0] = np.nan
     inf_entry = as_matrix(BELL).copy()
@@ -161,8 +160,7 @@ def test_decompose_many_reports_non_finite_matrices_per_point():
     before = stack.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state_faults, solved, vals, vecs = _state_contract(stack)
-        vals, vecs, clamped, n_clamped = decompose_many(vals, vecs)
+        state_faults, solved, vals, vecs, clamped, n_clamped = decompose_many(stack)
     assert np.array_equal(stack, before, equal_nan=True)
     assert [fault is None for fault in state_faults] == [True, False, True, False, False, True]
     for k in (1, 3, 4):
