@@ -13,14 +13,16 @@ propagate_expm is a one-point call of the core and propagate_checked a batch
 call. The Liouvillian is linear in its coefficients (kappa1, kappa2, e_j1,
 e_j2, e_m, gamma), a product with six constant generators, so this route
 builds no Hamiltonian. An adaptive Runge-Kutta integration of the right-hand
-side is an independent cross-check; it builds H once per integration and
-never touches the 16x16 generator. The two routes share only
-model.kappa_coefficients. Both check each time once (check_time) and each
-state once against the single state contract (model.state_faults, which
-DensityMatrix applies); the core returns bare states, so each of its callers
-applies the contract. The printed closed form at the degeneracy point, rho(t)
-and its eigensystem, is kept verbatim even though its lambda3 radicand is
-dimensionally suspect; _closed_form evaluates it once per (p, t) for both,
+side is an independent cross-check: the package's own DOP853 loop (_dop853,
+Hairer's tableau and step control at the fixed tolerances RK_RTOL and
+RK_ATOL, at most RK_MAX_STEPS steps) on the 4x4 state. It builds H once per
+integration, never touches the 16x16 generator and uses no scipy. The two
+routes share only model.kappa_coefficients. Both check each time once
+(check_time) and each state once against the single state contract
+(model.state_faults, which DensityMatrix applies); the core returns bare
+states, so each of its callers applies the contract. The printed closed form
+at the degeneracy point, rho(t) and its eigensystem, is kept verbatim even
+though its lambda3 radicand is dimensionally suspect; _closed_form evaluates it once per (p, t) for both,
 after analytic_coefficients checks t, and audit_analytic measures rho(t)
 against propagate_checked at AUDIT_TOL.
 """
@@ -61,10 +63,73 @@ EXPM_CHUNK = 128
 # the closed form's largest accepted deviation, in audit_analytic, audit and the artifact
 AUDIT_TOL = 1e-8
 
+# the adaptive integration in propagate_rk: relative and absolute tolerance, and the
+# most steps, accepted or rejected, one integration may take
+RK_RTOL = 1e-9
+RK_ATOL = 1e-12
+RK_MAX_STEPS = 100_000
+
+# DOP853 of Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980), with the coefficients
+# of Hairer's dop853.f (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., 1993): the
+# 12-stage tableau a_ij of the autonomous step, the 8th-order weights b_i, the 5th-order
+# error weights er_i, and the 3rd-order error weights b_i - bhh_i. The last stage's
+# right-hand side, the next step's first, has weight 0 in both error estimates.
+_DOP853_A = np.zeros((12, 12))
+_DOP853_A[1, 0] = 5.26001519587677318785587544488e-2
+_DOP853_A[2, :2] = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+_DOP853_A[3, [0, 2]] = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+_DOP853_A[4, [0, 2, 3]] = (2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+                           9.24834003261792003115737966543e-1)
+_DOP853_A[5, [0, 3, 4]] = (3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+                           1.25467687566822425016691814123e-1)
+_DOP853_A[6, [0, 3, 4, 5]] = (3.7109375e-2, 1.70252211019544039314978060272e-1,
+                              6.02165389804559606850219397283e-2, -1.7578125e-2)
+_DOP853_A[7, [0, 3, 4, 5, 6]] = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3)
+_DOP853_A[8, [0, 3, 4, 5, 6, 7]] = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
+_DOP853_A[9, [0, 3, 4, 5, 6, 7, 8]] = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2)
+_DOP853_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022)
+_DOP853_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+_DOP853_B = np.zeros(12)
+_DOP853_B[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+_DOP853_E5 = np.zeros(12)
+_DOP853_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_DOP853_E3 = _DOP853_B.copy()
+_DOP853_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                           0.220588235294117647058823529412e-1)
+
 # sum_j (2 z_a z_b - z_a^2 - z_b^2) over the diagonals z of Z1 and Z2; rho times it,
-# entrywise, is sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj)
+# entrywise, is sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj). Complex, so that the product
+# with a complex rho casts nothing per call; the values, and so the bits, are those of
+# the real mask.
 _RHS_DEPHASING_MASK = sum(2.0 * np.outer(z, z) - z[:, np.newaxis] ** 2 - z[np.newaxis, :] ** 2
-                          for z in (np.diag(Z1).real, np.diag(Z2).real))
+                          for z in (np.diag(Z1).real, np.diag(Z2).real)).astype(complex)
 
 
 def _commutator(a: np.ndarray) -> np.ndarray:
@@ -183,34 +248,101 @@ def propagate_expm(rho0, p: SystemParams, t: float) -> DensityMatrix:
 def propagate_rk(rho0, p: SystemParams, t: float) -> DensityMatrix:
     """Propagate rho0 to time t by adaptive Runge-Kutta on lindblad_rhs.
 
-    Independent of the exponential route: integrates the right-hand side
-    directly, never touching the 16x16 generator. H and the dephasing
-    factors are built once per integration, not once per right-hand-side
-    call. The relative tolerance is 1e-9 and the absolute floor 1e-12.
+    Independent of the exponential route: an in-package DOP853 loop
+    (_dop853) integrates the right-hand side directly, never touching the
+    16x16 generator, and uses no scipy. H and the dephasing factors are
+    built once per integration, not once per right-hand-side call. The
+    relative tolerance is 1e-9 and the absolute floor 1e-12.
 
     The step count, and so the cost, grows about linearly with t at large t
-    (README has the measured times). t is bounded only by check_time, so a call
-    at t = 1e300 never returns; propagate_expm answers any finite t at once.
+    (README has the measured times). An integration that would take more than
+    RK_MAX_STEPS steps raises IntegrationError, as does a non-finite error
+    estimate or a step below 10 ulp of the current time; propagate_expm
+    answers any finite t at once.
     """
     check_time(t)
     r0 = as_matrix(rho0)
     if t == 0.0:
         return DensityMatrix(r0)
-    # imported here: scipy.integrate dominates the package's import time and
-    # only this route needs it
-    from scipy.integrate import solve_ivp
+    # an overflow, in H or in a step, reaches the caller as _dop853's IntegrationError
+    with np.errstate(all="ignore"):
+        r = _dop853(r0, t, *_rhs_constants(p))
+    return DensityMatrix(r)
 
-    h, damping = _rhs_constants(p)
 
-    def rhs(_t, y):
-        return _rhs(y.reshape((4, 4)), h, damping).reshape(16)
+def _dop853(r0: np.ndarray, t: float, h: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """r0 carried from 0 to t > 0 by DOP853 on _rhs(r, h, damping).
 
-    # no t_eval: the last step ends at t, and dense output would cost 3 more calls
-    sol = solve_ivp(rhs, (0.0, t), r0.reshape(16), method="DOP853",
-                    rtol=1e-9, atol=1e-12)
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    return DensityMatrix(sol.y[:, -1].reshape((4, 4)))
+    Hairer's step control: the first step from his initial-step rule, then
+    factors 0.9 err^(-1/8) clipped to [0.2, 10], and not above 1 right after
+    a rejection. err is the 5th/3rd-order combined estimate, RMS over the 16
+    entries scaled by RK_ATOL + RK_RTOL max(|r|, |r_new|). The right-hand side
+    at an accepted step's end is the next step's first stage (FSAL). Raises
+    IntegrationError on a non-finite estimate, a step below 10 ulp of the time
+    reached, or more than RK_MAX_STEPS steps, accepted or rejected. Non-finite
+    arithmetic ends in the first of these, so callers run it under np.errstate.
+    """
+    r = r0
+    f = _rhs(r, h, damping)
+    scale = RK_ATOL + np.abs(r) * RK_RTOL
+    d0, d1 = _rms(r / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t)
+    d2 = _rms((_rhs(r + h0 * f, h, damping) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    step = min(100.0 * h0, h1, t)
+
+    # rows: r, then the stages k_1 = f, ..., k_12, each flattened, so that every
+    # stage sum is one dot of a row of weights with the leading rows; row s - 1 of
+    # weights gives the input of stage s, row 12 the step's result
+    k = np.empty((13, 16), dtype=complex)
+    stages = k.reshape(13, 4, 4)
+    weights = np.ones((13, 13), dtype=complex)  # column 0 weighs r
+    abs_r = np.abs(r)
+    now, steps = 0.0, 0
+    while now < t:
+        min_step = 10.0 * math.ulp(now)
+        step = max(step, min_step)
+        rejected = False
+        while True:
+            steps += 1
+            if steps > RK_MAX_STEPS:
+                raise IntegrationError(
+                    f"adaptive integration failed: more than {RK_MAX_STEPS} steps to reach "
+                    f"t = {t}; propagate_expm answers any finite t")
+            if step < min_step:
+                raise IntegrationError(f"adaptive integration failed: step {step:.6e} "
+                                       f"below 10 ulp of t = {now}")
+            new = min(now + step, t)
+            dt = new - now
+            weights[:12, 1:] = dt * _DOP853_A
+            weights[12, 1:] = dt * _DOP853_B
+            stages[0], stages[1] = r, f
+            for s in range(2, 13):
+                stages[s] = _rhs(weights[s - 1, :s].dot(k[:s]).reshape(4, 4), h, damping)
+            r_new = weights[12].dot(k).reshape(4, 4)
+            abs_new = np.abs(r_new)
+            scale = RK_ATOL + np.maximum(abs_r, abs_new) * RK_RTOL
+            err5 = _DOP853_E5.dot(k[1:]).reshape(4, 4) / scale
+            err3 = _DOP853_E3.dot(k[1:]).reshape(4, 4) / scale
+            err5, err3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
+            err = 0.0 if err5 == 0.0 and err3 == 0.0 else (
+                dt * err5 / math.sqrt((err5 + 0.01 * err3) * 16))
+            if not math.isfinite(err):
+                raise IntegrationError(f"adaptive integration failed: error estimate {err} "
+                                       f"at t = {now}")
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** (-1 / 8))
+                step = dt * (min(1.0, factor) if rejected else factor)
+                break
+            step = dt * max(0.2, 0.9 * err ** (-1 / 8))
+            rejected = True
+        now, r, abs_r = new, r_new, abs_new
+        f = _rhs(r, h, damping)
+    return r
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / math.sqrt(x.size)
 
 
 # ---------------------------------------------------------------------------

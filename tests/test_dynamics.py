@@ -168,17 +168,92 @@ def test_propagate_rk_t0_short_circuits():
     assert max_abs_diff(as_matrix(out), as_matrix(BELL)) == 0.0
 
 
-def test_propagate_rk_reports_a_failed_integration(monkeypatch):
-    import scipy.integrate
+def test_propagate_rk_reports_a_failed_integration():
+    # the overflow, in the steps or already in H, is the error and nothing else
+    for params in (SystemParams.degenerate(e_j=1e300, e_m=0.1, gamma=0.4),
+                   SystemParams(e_m=1e308, gamma=1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError,
+                               match="^adaptive integration failed: error estimate nan at t = 0.0$"):
+                propagate_rk(BELL, params, 1.0)
 
-    def failed(*args, **kwargs):
-        return SimpleNamespace(success=False, message="step size too small")
 
-    # propagate_rk imports solve_ivp at call time
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
-    with pytest.raises(IntegrationError,
-                       match="^adaptive integration failed: step size too small$"):
-        propagate_rk(BELL, P_REF, 1.0)
+def test_propagate_rk_stops_below_ten_ulp_of_the_time(monkeypatch):
+    # the true right-hand side for 200 calls, then one whose error estimate stays
+    # above 1 at every step size, so the step shrinks until it is lost in the time
+    real, calls = dynamics._rhs, []
+
+    def erratic(r, h, damping):
+        calls.append(None)
+        if len(calls) <= 200:
+            return real(r, h, damping)
+        return (-1) ** len(calls) * 1e100 * np.ones((4, 4))
+
+    monkeypatch.setattr(dynamics, "_rhs", erratic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError,
+                           match=r"^adaptive integration failed: step \S+ below 10 ulp of t = "):
+            propagate_rk(BELL, P_REF, 100.0)
+
+
+def test_propagate_rk_has_a_step_budget(monkeypatch):
+    # t = 1e300 would otherwise step for ever; the budget's 1e5 steps take some
+    # seconds, so the test lowers it
+    monkeypatch.setattr(dynamics, "RK_MAX_STEPS", 50)
+    with pytest.raises(IntegrationError, match=re.escape(
+            "adaptive integration failed: more than 50 steps to reach t = 1e+300; "
+            "propagate_expm answers any finite t")):
+        propagate_rk(BELL, P_REF, 1e300)
+    # 50 steps still reach t = 200 at P_REF
+    propagate_rk(BELL, P_REF, 200.0)
+
+
+# the nodes c_i of Hairer's dop853.f, in order
+DOP853_NODES = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+                0.118350341907227396726757197510, 0.281649658092772603273242802490, 1.0 / 3.0,
+                0.25, 4.0 / 13.0, 127.0 / 195.0, 0.6, 6.0 / 7.0, 1.0)
+
+
+def test_dop853_tableau_is_consistent():
+    a, b = dynamics._DOP853_A, dynamics._DOP853_B
+    c = np.array(DOP853_NODES)
+    assert np.all(np.triu(a) == 0.0)
+    assert np.abs(a.sum(axis=1) - c).max() < 2e-15
+    # the quadrature conditions of order 8
+    for k in range(8):
+        assert abs(b @ c ** k - 1.0 / (k + 1)) < 1e-15
+    assert abs(b @ c ** 8 - 1.0 / 9) > 1e-6
+    for weights in (dynamics._DOP853_E3, dynamics._DOP853_E5):
+        assert abs(weights.sum()) < 1e-15
+
+
+def test_dop853_loop_matches_solve_ivp_on_the_acceptance_grid(monkeypatch):
+    # scipy's DOP853 at the same tolerances is the reference; the package never imports it
+    from scipy.integrate import solve_ivp
+
+    real, calls = dynamics._rhs, []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_rhs", counting)
+    nfev = 0
+    for gamma in (0.3, 0.4, 0.5):
+        for e in (0.05, 0.1, 0.2):
+            p = SystemParams.degenerate(e_j=e, e_m=e, gamma=gamma)
+            h, damping = dynamics._rhs_constants(p)
+            for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+                sol = solve_ivp(lambda _t, y: real(y.reshape(4, 4), h, damping).reshape(16),
+                                (0.0, t), as_matrix(BELL).reshape(16), method="DOP853",
+                                rtol=dynamics.RK_RTOL, atol=dynamics.RK_ATOL)
+                assert sol.success
+                nfev += sol.nfev
+                got = propagate_rk(BELL, p, t).mat
+                assert max_abs_diff(got, sol.y[:, -1].reshape(4, 4)) < 1e-12
+    assert abs(len(calls) - nfev) <= 0.05 * nfev
 
 
 def test_propagate_argument_validation():
@@ -898,12 +973,14 @@ def test_audit_collects_closed_form_overflow():
 
 
 def test_import_leaves_the_integrator_unloaded():
-    # scipy.integrate is most of the package's import time and only
-    # propagate_rk needs it
+    # propagate_rk runs its own DOP853 loop, so neither importing the package
+    # nor integrating loads scipy.integrate
     src = str(Path(chargeqfi.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, chargeqfi; print('scipy.integrate' in sys.modules)"
+    probe = ("import sys, chargeqfi as c; "
+             "c.propagate_rk(c.bell_state_psi_plus(), c.SystemParams(gamma=0.3), 2.0); "
+             "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
@@ -919,13 +996,15 @@ def scipy_import_paths(tree):
 
 
 def test_package_imports_no_private_scipy_module():
-    # private scipy modules change their signatures between releases without notice
+    # private scipy modules change their signatures between releases without notice,
+    # and scipy.integrate is the import time that propagate_rk's own loop saves
     package = Path(chargeqfi.__file__).resolve().parent
     private = {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         names = [name for name in scipy_import_paths(tree)
-                 if any(part.startswith("_") for part in name.split("."))]
+                 if any(part.startswith("_") for part in name.split("."))
+                 or name.split(".")[:2] == ["scipy", "integrate"]]
         if names:
             private[path.name] = names
     assert private == {}
