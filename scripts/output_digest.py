@@ -47,6 +47,11 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   near_degenerate_pairs, or the exception class and text) for 3 estimands
   x t in {0, 1e-6, 1, 2, 7.5, -1, 1e300} x h in {1e-4, 1e-7, 1e-3} (the
   default step and the two ends of the accepted range) at both points.
+- one library qfi_points batch at each point for the gamma estimand with
+  h = 1e-3: valid times interleaved with t = -1, t = nan, gamma = 5e-4 < h
+  (the three domain faults) and t = 1e300 (a state-contract fault); the
+  breakdown fields and SLD value of each point as repr, or the exception
+  class and text.
 - the states of one propagate_checked call, and their state_faults texts,
   over EXPM_CHUNK + 37 parameter sets that interleave off-degenerate and
   degenerate ones, so that a set recurs within and across expm chunks
@@ -65,6 +70,7 @@ temporary directory that is removed afterwards; no tracked file is written.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -84,6 +90,8 @@ ESTIMANDS = ("gamma", "ej", "em")
 QFI_TIMES = ("0", "1e-6", "1", "2", "7.5", "1e300")
 DERIVATIVE_TIMES = (0.0, 1e-6, 1.0, 2.0, 7.5, -1.0, 1e300)
 DERIVATIVE_STEPS = (1e-4, 1e-7, 1e-3)
+BREAKDOWN_FIELDS = ("f_total", "f_c", "f_p", "f_m", "crb", "fd_step", "n_clamped",
+                    "gauge_residual")
 # the head of a raw array in an output, and the text fault list that follows the
 # head of the interleaved states
 ARRAY_HEAD = re.compile(rb"(float64|complex128) \(([0-9, ]*)\)( \[[^\]]*\])?")
@@ -115,9 +123,14 @@ def run_cli(cli, argv) -> bytes:
     return f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
 
 
-def derivative_bytes(model, qfi, flags) -> list:
-    p = model.SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4) if not flags else \
+def library_point(model, flags):
+    """The default point, or the point off degeneracy when flags are set."""
+    return model.SystemParams.degenerate(e_j=0.1, e_m=0.1, gamma=0.4) if not flags else \
         model.SystemParams(e_j1=0.2, e_j2=0.2, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+
+
+def derivative_bytes(model, qfi, flags) -> list:
+    p = library_point(model, flags)
     outputs = []
     for eta in qfi.EstimandTag:
         for t in DERIVATIVE_TIMES:
@@ -137,6 +150,25 @@ def derivative_bytes(model, qfi, flags) -> list:
                             body += f"{value.step!r} {value.near_degenerate_pairs}".encode()
                     outputs.append((fn.__name__, head + body))
     return outputs
+
+
+def qfi_batch_bytes(model, qfi, flags) -> bytes:
+    """One qfi_points batch whose valid points interleave with the three domain faults
+    (t = -1, t = nan, gamma < h) and a state-contract fault (t = 1e300)."""
+    p = library_point(model, flags)
+    low = dataclasses.replace(p, gamma=5e-4)
+    points = [(p, 0.0), (p, -1.0), (p, 1.0), (p, math.nan), (p, 2.0), (low, 1.0), (p, 1e300),
+              (low, 7.5), (p, 7.5)]
+    lines = [f"qfi_points {p} gamma h=0.001"]
+    for (q, t), (breakdown, sld) in zip(points, qfi.qfi_points(points, qfi.EstimandTag.GAMMA,
+                                                                1e-3)):
+        if isinstance(breakdown, Exception):
+            text = f"{type(breakdown).__name__}: {breakdown}"
+        else:
+            text = " ".join(repr(getattr(breakdown, name)) for name in BREAKDOWN_FIELDS)
+        sld_text = f"{type(sld).__name__}: {sld}" if isinstance(sld, Exception) else repr(sld)
+        lines.append(f"gamma={q.gamma!r} t={t!r} | {text} | {sld_text}")
+    return "\n".join(lines).encode()
 
 
 def interleaved_states(dynamics, model) -> bytes:
@@ -196,6 +228,7 @@ def collect(checkout: Path, tmp: Path) -> list:
             for t in QFI_TIMES:
                 outputs.append(run_cli(cli, ["qfi", *flags, "--param", eta, "--t", t]))
         outputs.extend(derivative_bytes(model, qfi, flags))
+        outputs.append(qfi_batch_bytes(model, qfi, flags))
     for flags in ([], ["--ej", "1", "--em", "5", "--gamma", "0"],
                   ["--e", "0.2", "--gamma", "0.5", "--points", "50"], OFF_FLAGS,
                   ["--t-max", "1000"]):

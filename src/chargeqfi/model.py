@@ -114,9 +114,15 @@ def kappa_coefficients(p: SystemParams) -> tuple[float, float]:
 
 
 def build_hamiltonian(p: SystemParams) -> np.ndarray:
-    """4x4 Hamiltonian -1/2 {k1 Z1 + k2 Z2 + EJ1 X1 + EJ2 X2 - 2 Em Z1 Z2}."""
+    """4x4 Hamiltonian -1/2 {k1 Z1 + k2 Z2 + EJ1 X1 + EJ2 X2 - 2 Em Z1 Z2}.
+
+    A field that overflows a coefficient gives inf and nan entries, without a warning.
+    """
     k1, k2 = kappa_coefficients(p)
-    return _readonly(-0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2 - 2.0 * p.e_m * ZZ))
+    # inf times the complex zeros of a Pauli product is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _readonly(-0.5 * (k1 * Z1 + k2 * Z2 + p.e_j1 * X1 + p.e_j2 * X2
+                                 - 2.0 * p.e_m * ZZ))
 
 
 def state_faults(mats: np.ndarray) -> list:

@@ -12,13 +12,14 @@ never a derivative: the SLD differences rho itself.
 One row core, _derivative_rows, shifts the estimand by +h and -h, reads the
 state contract and eigensystems of all three states from one
 spectral.decompose_many call and takes the central difference of rho and of
-the matched eigensystems. qfi_points reads both routes from it over a batch
-of points, d_rho and spectral_derivative over one; qfi_components and
-qfi_sld are one-point qfi_points calls. A point reports its first failure
-in the order: domain (gamma < 0, then t, then the step) -> state contract of
-the base, +h and -h states (its last check is the eigen residual) -> branch
-matching -> breakdown floors. d_rho and the SLD value stop after the second
-and spectral_derivative after the third.
+the matched eigensystems; a point out of domain stays in its batch,
+propagated at t = 0 as a stand-in. qfi_points reads both routes from it over
+a batch of points, d_rho and spectral_derivative over one; qfi_components
+and qfi_sld are one-point qfi_points calls. A point reports its first
+failure in the order: domain (gamma < 0, then t, then the step) -> state
+contract of the base, +h and -h states (its last check is the eigen
+residual) -> branch matching -> breakdown floors. d_rho and the SLD value
+stop after the second and spectral_derivative after the third.
 """
 
 from __future__ import annotations
@@ -139,56 +140,57 @@ def _derivative_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> tup
     """Central differences at param_rows rows of finite fields and paired times.
 
     Its domain pass is the one place that checks a point's gamma, t and step.
-    Returns (ks, faults, base, derivatives). faults[k] is point k's first
-    fault (or None) up to each stage: the state contract of the base, +h and
-    -h states; then matching; or its domain (gamma, t, step) fault at both.
-    The arrays run over the points in domain, ks: base is (eigenvalues,
-    eigenvectors, clamped, n_clamped) of the base states, derivatives is
-    (d_eigenvalues, d_eigenvectors, d_rho). One _propagate_rows call, one
-    decompose_many call over its stack (the state contract and its one
-    batched eigh) and one matching call serve all points and sides.
+    Returns (contract, matched, base, derivatives) over all points: contract[k]
+    is point k's first fault (or None) up to the state contract, its domain
+    fault, then that of its base, +h and -h states; matched[k] then adds branch
+    matching. base is (eigenvalues, eigenvectors, clamped, n_clamped) of the
+    base states, derivatives (d_eigenvalues, d_eigenvectors, d_rho), a faulted
+    point's those of its stand-in. One _propagate_rows call, one decompose_many
+    call over its stack (the state contract and its one batched eigh) and one
+    matching call serve all points and sides.
     """
-    faults = []
+    domain = []
     for gamma, t in zip(rows[:, PARAM_FIELDS.index("gamma")].tolist(), times):
         try:
             check_field("gamma", gamma)
             check_time(t)
             check_step(gamma, eta, h)
-            faults.append(None)
+            domain.append(None)
         except ValueError as exc:
-            faults.append((exc,) * 2)
-    ks = [k for k, fault in enumerate(faults) if fault is None]
-    n = len(ks)
-    # the +h and -h rows move only the estimand's columns, so a -0.0 elsewhere
-    # stays -0.0. They need no re-validation: check_step keeps gamma - h >= 0,
-    # and a step of at most FD_STEP_MAX cannot make a finite field non-finite.
-    rows = np.tile(rows[ks], (3, 1))
-    cols = [PARAM_FIELDS.index(name) for name in eta.fields]
+            domain.append(exc)
+    # A point out of domain keeps its rows and is propagated at t = 0, where every
+    # generator is multiplied by 0, so its stand-in is rho0 or a non-finite state; the
+    # contract stands eye(4)/4 in for that and any faulty state, which keeps it out of
+    # the sums' warnings. The +h and -h rows move only the estimand's columns (a -0.0
+    # elsewhere stays -0.0); in domain, gamma - h >= 0 and every field stays finite.
+    times = [0.0 if fault else t for fault, t in zip(domain, times)]
+    n, cols = len(rows), [PARAM_FIELDS.index(name) for name in eta.fields]
+    rows = np.tile(rows, (3, 1))
     rows[n:2 * n, cols] += h
     rows[2 * n:, cols] -= h
-    # a point with a faulty state fails before any eigen result of it is read; the
-    # contract's stand-in keeps a non-finite or huge state out of the sums' warnings
     state_faults, states, vals, vecs, clamped, n_clamped = decompose_many(
-        _propagate_rows(bell_state_psi_plus(), rows, [times[k] for k in ks] * 3))
+        _propagate_rows(bell_state_psi_plus(), rows, times * 3))
     side_vals, side_vecs, match_faults = _match_branches(np.tile(vecs[:n], (2, 1, 1)),
                                                          vals[n:], vecs[n:])
-    # The one central difference, of the matched eigensystems and of rho. It
-    # stays (plus - minus) / (2.0 * h), not a weighted sum of the sides: on
-    # numpy 2.4.6 a weight 1 * z turns a complex -0.0 - 1j into 0.0 - 1j, and
-    # Python's sum(...) from 0 turns -0.0 into 0.0; either moves output bytes.
-    d_vals, d_vecs, drho = ((side[:n] - side[n:]) / (2.0 * h)
-                            for side in (side_vals, side_vecs, states[n:]))
+    # The one central difference, of the matched eigensystems and of rho. It stays
+    # (plus - minus) / (2.0 * h), not a weighted sum of the sides: on numpy 2.4.6 a weight
+    # 1 * z turns a complex -0.0 - 1j into 0.0 - 1j, and Python's sum(...) from 0 turns
+    # -0.0 into 0.0; either moves output bytes. h = 0 fails every point's domain pass.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_vals, d_vecs, drho = ((side[:n] - side[n:]) / (2.0 * h)
+                                for side in (side_vals, side_vecs, states[n:]))
     # exceptions are truthy, so an `or` chain of faults is the first of them
-    for j, k in enumerate(ks):
-        state = state_faults[j] or state_faults[n + j] or state_faults[2 * n + j]
-        faults[k] = (state, state or match_faults[j] or match_faults[n + j])
-    return ks, faults, (vals[:n], vecs[:n], clamped[:n], n_clamped[:n]), (d_vals, d_vecs, drho)
+    contract = [domain[k] or state_faults[k] or state_faults[n + k] or state_faults[2 * n + k]
+                for k in range(n)]
+    matched = [fault or match_faults[k] or match_faults[n + k] for k, fault in enumerate(contract)]
+    return contract, matched, (vals[:n], vecs[:n], clamped[:n], n_clamped[:n]), \
+        (d_vals, d_vecs, drho)
 
 
 def d_rho(p: SystemParams, t: float, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> np.ndarray:
     """Central-difference derivative of rho(t) with respect to the estimand."""
-    _, (faults,), _, (_, _, drho) = _derivative_rows(param_rows([p]), [t], eta, h)
-    _checked(faults[0])
+    (fault,), _, _, (_, _, drho) = _derivative_rows(param_rows([p]), [t], eta, h)
+    _checked(fault)
     return drho[0]
 
 
@@ -202,8 +204,8 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
     one-point call of the derivative core, so the base, +h and -h states all
     pass their contract before any eigensystem is read.
     """
-    _, (faults,), (vals, *_), (d_vals, d_vecs, _) = _derivative_rows(param_rows([p]), [t], eta, h)
-    _checked(faults[1])
+    _, (fault,), (vals, *_), (d_vals, d_vecs, _) = _derivative_rows(param_rows([p]), [t], eta, h)
+    _checked(fault)
     flagged = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                     if abs(vals[0, i] - vals[0, j]) < NEAR_DEGENERATE_GAP)
     return SpectralDerivative(
@@ -218,28 +220,32 @@ def spectral_derivative(p: SystemParams, t: float, eta: EstimandTag,
 class QfiBreakdown:
     """Fisher information split into classical, pure and mixed parts.
 
-    f_total = f_c + f_p - f_m by construction; crb = 1/f_total (inf below
-    the 1e-12 floor). Diagnostics: fd_step, n_clamped eigenvalues, and the
-    worst residual Berry connection |<V_i|dV_i>| after gauge matching.
+    f_total = f_c + f_p - f_m and crb = cramer_rao(f_total); construction checks
+    f_total's floor, then each part's. Diagnostics: fd_step, n_clamped eigenvalues,
+    and the worst residual Berry connection |<V_i|dV_i>| after gauge matching.
     """
 
-    f_total: float
     f_c: float
     f_p: float
     f_m: float
-    crb: float
     fd_step: float
     n_clamped: int
     gauge_residual: float
 
     def __post_init__(self):
+        cramer_rao(self.f_total)
         for name in ("f_c", "f_p", "f_m"):
             val = getattr(self, name)
             if val < COMPONENT_FLOOR:
                 raise ContractViolationError(f"{name} = {val:.3e} is negative beyond roundoff")
-        if self.f_total < QFI_NEGATIVE_FLOOR:
-            raise ContractViolationError(
-                f"f_total = {self.f_total:.3e} below the {QFI_NEGATIVE_FLOOR:.0e} floor")
+
+    @property
+    def f_total(self) -> float:
+        return self.f_c + self.f_p - self.f_m
+
+    @property
+    def crb(self) -> float:
+        return cramer_rao(self.f_total)
 
 
 def cramer_rao(f: float) -> float:
@@ -291,26 +297,20 @@ def qfi_points(points, eta: EstimandTag, h: float = FD_STEP_DEFAULT) -> list:
 
 def _qfi_rows(rows: np.ndarray, times, eta: EstimandTag, h: float) -> list:
     """qfi_points over param_rows rows of finite fields and paired times."""
-    ks, faults, (_, vecs, clamped, n_clamped), (d_vals, d_vecs, drho) = \
+    contract, matched, (_, vecs, clamped, n_clamped), (d_vals, d_vecs, drho) = \
         _derivative_rows(rows, times, eta, h)
     f_c, f_p, f_m, gauge = _breakdown_sums(clamped, vecs, d_vals, d_vecs)
-    f_total = f_c + f_p - f_m
     sld = _sld_sums(clamped, vecs, drho)
-    # the SLD value fails only up to the state contract
-    out = [(fault[0], fault[0]) for fault in faults]
-    for j, k in enumerate(ks):
-        sld_fault, breakdown = faults[k]
-        if sld_fault is not None:
-            continue
+    out = []
+    for k, (sld_fault, breakdown) in enumerate(zip(contract, matched)):
         if breakdown is None:
             try:
                 breakdown = QfiBreakdown(
-                    f_total=float(f_total[j]), f_c=float(f_c[j]), f_p=float(f_p[j]),
-                    f_m=float(f_m[j]), crb=cramer_rao(float(f_total[j])), fd_step=h,
-                    n_clamped=int(n_clamped[j]), gauge_residual=float(gauge[j]))
+                    f_c=float(f_c[k]), f_p=float(f_p[k]), f_m=float(f_m[k]), fd_step=h,
+                    n_clamped=int(n_clamped[k]), gauge_residual=float(gauge[k]))
             except ContractViolationError as exc:
                 breakdown = exc
-        out[k] = (breakdown, float(sld[j]))
+        out.append((breakdown, sld_fault or float(sld[k])))  # the SLD stops at the contract
     return out
 
 

@@ -103,6 +103,20 @@ def test_rhs_preserves_trace_and_hermiticity():
     assert max_abs_diff(r, r.conj().T) < 1e-14
 
 
+@pytest.mark.parametrize("fields", [
+    {"e_m": 1e308}, {"e_c1": 1e308, "n_g1": 0.3}, {"e_m": -1e308, "gamma": 1e308},
+    {"e_c1": 1e308, "e_c2": -1e308, "n_g1": 0.0, "n_g2": 1.0, "e_m": 1e308, "gamma": 1e308},
+])
+def test_overflowing_fields_build_h_and_the_rhs_without_warnings(fields):
+    # a coefficient overflows to inf, and inf times a complex 0 of a Pauli product is nan
+    p = SystemParams(**fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_hamiltonian(p)
+        r = lindblad_rhs(BELL, p)
+    assert not np.isfinite(h).all() and not np.isfinite(r).all()
+
+
 def test_liouvillian_matches_rhs_on_matrix_units():
     lio = build_liouvillian(P_REF)
     for a in range(4):

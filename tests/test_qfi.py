@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -304,11 +305,22 @@ def test_cramer_rao_mapping():
 
 def test_breakdown_floor_enforcement():
     with pytest.raises(ContractViolationError):
-        QfiBreakdown(f_total=-1e-6, f_c=0.0, f_p=0.0, f_m=1e-6, crb=float("inf"),
-                     fd_step=1e-4, n_clamped=0, gauge_residual=0.0)
+        QfiBreakdown(f_c=0.0, f_p=0.0, f_m=1e-6, fd_step=1e-4, n_clamped=0, gauge_residual=0.0)
     with pytest.raises(ContractViolationError):
-        QfiBreakdown(f_total=1.0, f_c=-1e-9, f_p=1.0, f_m=0.0, crb=1.0,
-                     fd_step=1e-4, n_clamped=0, gauge_residual=0.0)
+        QfiBreakdown(f_c=-1e-9, f_p=1.0, f_m=0.0, fd_step=1e-4, n_clamped=0, gauge_residual=0.0)
+
+
+def _bits(*values) -> tuple:
+    return tuple(np.float64(v).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_breakdown_derives_f_total_and_crb_bit_for_bit(tag):
+    # t = 0 gives f_total = 0 and so an infinite bound
+    for t in (0.0, 0.5, 2.0, 7.5):
+        b = qfi_components(P_REF, t, tag)
+        total = np.float64(b.f_c) + np.float64(b.f_p) - np.float64(b.f_m)
+        assert _bits(b.f_total, b.crb) == _bits(total, cramer_rao(float(total)))
 
 
 def test_qfi_points_reports_non_finite_times():
@@ -318,6 +330,62 @@ def test_qfi_points_reports_non_finite_times():
         assert isinstance(breakdown, ValueError) and sld is breakdown
         assert str(breakdown) == f"t must be finite, got {t}"
     assert results[1][0] == qfi_components(P_REF, 1.0, EstimandTag.GAMMA)
+
+
+def test_qfi_points_keeps_domain_faults_in_the_one_batch(monkeypatch):
+    calls = []
+
+    def recording(rho0, rows, times):
+        calls.append((rows.copy(), list(times)))
+        return real(rho0, rows, times)
+
+    real = qfi._propagate_rows
+    monkeypatch.setattr(qfi, "_propagate_rows", recording)
+    h = 1e-3
+    off = SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    low = dataclasses.replace(P_REF, gamma=5e-4)  # gamma - h < 0
+    points = [(P_REF, 0.5), (P_REF, -1.0), (off, 1.0), (P_REF, float("nan")), (P_REF, 2.0),
+              (low, 1.0), (off, 3.0)]
+    faulted = {1: "t must be >= 0, got -1.0", 3: "t must be finite, got nan",
+               5: "gamma - h = -5.000e-04 < 0"}
+    out = qfi_points(points, EstimandTag.GAMMA, h)
+    # one propagation over the base, +h and -h rows of every point; a faulted
+    # point is propagated at t = 0
+    ((rows, times),) = calls
+    n = len(points)
+    assert len(rows) == 3 * n
+    assert [times[k + side * n] for side in range(3) for k in faulted] == [0.0] * 3 * len(faulted)
+    monkeypatch.undo()
+    for k, ((p, t), (breakdown, sld)) in enumerate(zip(points, out)):
+        if k in faulted:
+            for route in (qfi_components, qfi_sld):
+                with pytest.raises(ValueError) as exc:
+                    route(p, t, EstimandTag.GAMMA, h)
+                assert str(exc.value).startswith(faulted[k])
+                assert type(breakdown) is ValueError and str(breakdown) == str(exc.value)
+            assert sld is breakdown
+            continue
+        one = qfi_components(p, t, EstimandTag.GAMMA, h)
+        fields = ("f_c", "f_p", "f_m", "f_total", "crb", "fd_step", "gauge_residual")
+        assert _bits(*(getattr(breakdown, f) for f in fields)) == \
+            _bits(*(getattr(one, f) for f in fields))
+        assert breakdown.n_clamped == one.n_clamped
+        assert _bits(sld) == _bits(qfi_sld(p, t, EstimandTag.GAMMA, h))
+
+
+@pytest.mark.parametrize("h", [0.0, float("nan"), float("inf"), 1.0])
+def test_a_step_out_of_range_fails_every_point_without_warnings(h):
+    # every point, its stand-in included, stays in the batch, and a zero step's
+    # 0 / 0 in the central difference is never read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = qfi_points([(P_REF, 1.0), (P_REF, 2.0)], EstimandTag.EJ, h)
+        for route in (d_rho, spectral_derivative):
+            with pytest.raises(ValueError, match="^fd step must lie in"):
+                route(P_REF, 1.0, EstimandTag.EJ, h)
+    for breakdown, sld in out:
+        assert str(breakdown) == f"fd step must lie in [1e-07, 0.001], got {h}"
+        assert sld is breakdown
 
 
 @pytest.mark.parametrize("p,t,h,message", [

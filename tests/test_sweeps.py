@@ -317,6 +317,26 @@ def test_batch_breakdown_floor_fails_one_point(monkeypatch):
     assert lines[:2] + lines[3:] == unpatched[:2] + unpatched[3:]
 
 
+def test_batch_breakdown_reports_the_f_total_floor_first(monkeypatch):
+    real_sums = qfi._breakdown_sums
+
+    def negative_middle_point(*args):
+        f_c, f_p, f_m, gauge = real_sums(*args)
+        f_c, f_m = f_c.copy(), f_m.copy()
+        # both f_c and f_total = f_c + f_p - f_m are below their floors
+        f_c[1] = -1e-9
+        f_m[1] = f_p[1] + 1.0
+        return f_c, f_p, f_m, gauge
+
+    monkeypatch.setattr(qfi, "_breakdown_sums", negative_middle_point)
+    batch = qfi.qfi_points([(P_OFF, t) for t in (0.5, 1.75, 3.0)], EstimandTag.GAMMA)
+    breakdown, sld = batch[1]
+    assert isinstance(breakdown, ContractViolationError)
+    assert str(breakdown) == "Fisher information -1.000e+00 negative beyond the floor"
+    assert isinstance(sld, float) and np.isfinite(sld)
+    assert not isinstance(batch[0][0], Exception) and not isinstance(batch[2][0], Exception)
+
+
 def test_overflowing_fields_fail_typed_without_warnings():
     # e_m = 1e308 overflows the Hamiltonian; the state contract reports it
     with warnings.catch_warnings():
