@@ -62,6 +62,10 @@ degeneracy (ng 0.45/0.55, ej 0.2, em 0.15, gamma 0.3):
   n_clamped, or the exception class and text) of the Bell state, an evolved
   state, eye(4)/4, and of four matrices that are not states: a non-finite,
   a non-Hermitian, a negative-eigenvalue and a trace-2 one.
+- the Runge-Kutta route: propagate_rk states on the acceptance-01 grid
+  (gamma in {0.3, 0.4, 0.5} x ej = em in {0.05, 0.1, 0.2} at degeneracy,
+  x t in {0.5, 1, 2, 5, 10}) and at the point off degeneracy at the same
+  times, and lindblad_rhs of the 16 matrix units at both points.
 
 Every CLI call records its argv, exit code, stdout and stderr, or the class
 and text of an exception that escapes cli_main. Files go to a
@@ -96,6 +100,10 @@ BREAKDOWN_FIELDS = ("f_total", "f_c", "f_p", "f_m", "crb", "fd_step", "n_clamped
 # head of the interleaved states
 ARRAY_HEAD = re.compile(rb"(float64|complex128) \(([0-9, ]*)\)( \[[^\]]*\])?")
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+# the acceptance-01 grid of the Runge-Kutta cross-check
+RK_GAMMAS = (0.3, 0.4, 0.5)
+RK_COUPLINGS = (0.05, 0.1, 0.2)
+RK_TIMES = (0.5, 1.0, 2.0, 5.0, 10.0)
 SWEEP_AXES = (("gamma", "0", "0.6"), ("gamma", "-0.3", "0.6"), ("ej", "0.05", "0.3"),
               ("em", "0.05", "0.3"), ("time", "0", "10"), ("time", "1", "1e300"))
 
@@ -214,6 +222,19 @@ def decomposition_bytes(dynamics, model, spectral) -> list:
     return outputs
 
 
+def rk_bytes(dynamics, model) -> bytes:
+    """propagate_rk on the acceptance-01 grid and off degeneracy, and lindblad_rhs
+    of the matrix units at both library points."""
+    bell = model.bell_state_psi_plus()
+    grid = [model.SystemParams.degenerate(e_j=e, e_m=e, gamma=g)
+            for g in RK_GAMMAS for e in RK_COUPLINGS] + [library_point(model, OFF_FLAGS)]
+    states = np.array([dynamics.propagate_rk(bell, p, t).mat for p in grid for t in RK_TIMES])
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    rhs = np.array([dynamics.lindblad_rhs(unit, library_point(model, flags))
+                    for flags in (DEFAULT_FLAGS, OFF_FLAGS) for unit in units])
+    return b"".join(f"{a.dtype} {a.shape}".encode() + a.tobytes() for a in (states, rhs))
+
+
 def collect(checkout: Path, tmp: Path) -> list:
     cli, dynamics, model, qfi, spectral, sweeps = import_checkout(checkout)
     outputs = [run_cli(cli, [command, "--help"])
@@ -266,6 +287,7 @@ def collect(checkout: Path, tmp: Path) -> list:
     outputs.append(artifact.read_bytes())
     outputs.append(interleaved_states(dynamics, model))
     outputs.extend(decomposition_bytes(dynamics, model, spectral))
+    outputs.append(b"propagate_rk and lindblad_rhs\n" + rk_bytes(dynamics, model))
     return outputs
 
 

@@ -61,9 +61,12 @@ SWEEP_SETTINGS = {"estimand": ("param", None), "axis": ("axis", "time"),
                   "axis_start": ("axis_start", 0.0), "axis_end": ("axis_end", 10.0),
                   "points": ("points", 101), "t": ("t", 1.0),
                   "fd_step": ("fd_step", FD_STEP_DEFAULT), "output_format": ("format", "csv")}
-_CONFIG_KEYS = {*MODEL_NAMES, "e", *SWEEP_SETTINGS}
 # each SystemParams field -> the model name that sets it
 _FIELD_NAMES = {field: name for name, fields in MODEL_NAMES.items() for field in fields}
+# the per-field config keys (e_j1, e_j2) of a model name that sets several fields, as
+# sweeps.model_json writes them where the fields differ
+_SPLIT_KEYS = {field for field, name in _FIELD_NAMES.items() if len(MODEL_NAMES[name]) > 1}
+_CONFIG_KEYS = {*MODEL_NAMES, *_SPLIT_KEYS, "e", *SWEEP_SETTINGS}
 _ESTIMANDS = [eta.value for eta in EstimandTag]
 _SWEEP_WRITERS = {"csv": sweep_to_csv, "json": sweep_to_json}
 
@@ -94,8 +97,10 @@ def _build_params(args, file_cfg: dict) -> SystemParams:
             default = PARAM_FLAGS[name][0]
             if name in ("ej", "em") and e_short is not None:
                 default = e_short
-            fields[field] = _resolve(args, file_cfg, name, default)
-            check_field(name, fields[field])
+            # a per-field file key stands in for its name's, below the name's flag
+            key = field if field in file_cfg and getattr(args, name) is None else name
+            fields[field] = _resolve(args, file_cfg, key, default, dest=name)
+            check_field(key, fields[field])
     except ValueError as exc:
         raise _UsageError(str(exc))
     return SystemParams(**fields)
@@ -223,6 +228,9 @@ def _sweep_config(args) -> tuple[SweepConfig, str]:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key in sorted(_SPLIT_KEYS & set(file_cfg)):
+            if _FIELD_NAMES[key] in file_cfg:
+                raise _UsageError(f"config keys {_FIELD_NAMES[key]!r} and {key!r} both set {key}")
     settings = {key: _resolve(args, file_cfg, key, default, dest)
                 for key, (dest, default) in SWEEP_SETTINGS.items()}
     estimand = settings.pop("estimand")

@@ -16,7 +16,9 @@ builds no Hamiltonian. An adaptive Runge-Kutta integration of the right-hand
 side is an independent cross-check: the package's own DOP853 loop (_dop853,
 Hairer's tableau and step control at the fixed tolerances RK_RTOL and
 RK_ATOL, at most RK_MAX_STEPS steps) on the 4x4 state. It builds H once per
-integration, never touches the 16x16 generator and uses no scipy. The two
+integration, as the operand stack [-iH, rho, iH], so that each right-hand-side
+evaluation (_rhs, which lindblad_rhs also calls) forms the commutator with one
+stacked matmul; it never touches the 16x16 generator and uses no scipy. The two
 routes share only model.kappa_coefficients. Both check each time once
 (check_time) and each state once against the single state contract
 (model.state_faults, which DensityMatrix applies); the core returns bare
@@ -161,20 +163,35 @@ def lindblad_rhs(rho, p: SystemParams) -> np.ndarray:
     """d(rho)/dt = -i[H, rho] + (gamma/8) sum_j (2 Zj rho Zj - Zj Zj rho - rho Zj Zj).
 
     Zj is diagonal, so the dephasing sum is applied entrywise, as rho times a
-    constant mask. A field that overflows H gives inf and nan entries, without
-    a warning.
+    constant mask; the commutator is _rhs's one stacked matmul. A field that
+    overflows H gives inf and nan entries, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rhs(as_matrix(rho), *_rhs_constants(p))
+        ops, damping = _rhs_constants(p)
+        ops[1] = as_matrix(rho)
+        return _rhs(ops, damping)
 
 
 def _rhs_constants(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """H and the entrywise dephasing factors (gamma/8) * mask of lindblad_rhs."""
-    return build_hamiltonian(p), (p.gamma / 8.0) * _RHS_DEPHASING_MASK
+    """The operand stack [a, r, -a] of _rhs, a = -iH, with H built once and the slot r
+    for the caller to fill, and the entrywise dephasing factors (gamma/8) * mask."""
+    a = -1j * build_hamiltonian(p)
+    return np.array([a, a, -a]), (p.gamma / 8.0) * _RHS_DEPHASING_MASK
 
 
-def _rhs(r: np.ndarray, h: np.ndarray, damping: np.ndarray) -> np.ndarray:
-    return -1j * (h @ r - r @ h) + damping * r
+def _rhs(ops: np.ndarray, damping: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """lindblad_rhs of the r in ops[1], into out if given, by one stacked matmul:
+    ops[:2] @ ops[1:] is [a r, r (-a)], whose sum is -i[H, r].
+
+    -1j * h only moves and negates parts, and negation commutes with rounding, so
+    each value is the operator form's -1j * (h @ r - r @ h) + damping * r bit for
+    bit; an entry that cancels to zero in both terms may carry the other sign of
+    zero.
+    """
+    products = np.matmul(ops[:2], ops[1:])
+    out = np.add(products[0], products[1], out=out)
+    out += damping * ops[1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +270,10 @@ def propagate_rk(rho0, p: SystemParams, t: float) -> DensityMatrix:
 
     Independent of the exponential route: an in-package DOP853 loop
     (_dop853) integrates the right-hand side directly, never touching the
-    16x16 generator, and uses no scipy. H and the dephasing factors are
-    built once per integration, not once per right-hand-side call. The
-    relative tolerance is 1e-9 and the absolute floor 1e-12.
+    16x16 generator, and uses no scipy. H, in the operand stack of _rhs, and
+    the dephasing factors are built once per integration, and each
+    right-hand-side call is one stacked matmul. The relative tolerance is 1e-9
+    and the absolute floor 1e-12.
 
     The step count, and so the cost, grows about linearly with t at large t
     (README has the measured times). An integration that would take more than
@@ -269,12 +287,12 @@ def propagate_rk(rho0, p: SystemParams, t: float) -> DensityMatrix:
         return DensityMatrix(r0)
     # an overflow, in H or in a step, reaches the caller as _dop853's IntegrationError
     with np.errstate(all="ignore"):
-        r = _dop853(r0, t, *_rhs_constants(p))
-    return DensityMatrix(r)
+        return DensityMatrix(_dop853(r0, t, *_rhs_constants(p)))
 
 
-def _dop853(r0: np.ndarray, t: float, h: np.ndarray, damping: np.ndarray) -> np.ndarray:
-    """r0 carried from 0 to t > 0 by DOP853 on _rhs(r, h, damping).
+def _dop853(r0: np.ndarray, t: float, ops: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """r0 carried from 0 to t > 0 by DOP853 on _rhs(ops, damping), with ops and
+    damping from _rhs_constants.
 
     Hairer's step control: the first step from his initial-step rule, then
     factors 0.9 err^(-1/8) clipped to [0.2, 10], and not above 1 right after
@@ -284,22 +302,33 @@ def _dop853(r0: np.ndarray, t: float, h: np.ndarray, damping: np.ndarray) -> np.
     IntegrationError on a non-finite estimate, a step below 10 ulp of the time
     reached, or more than RK_MAX_STEPS steps, accepted or rejected. Non-finite
     arithmetic ends in the first of these, so callers run it under np.errstate.
-    """
-    r = r0
-    f = _rhs(r, h, damping)
-    scale = RK_ATOL + np.abs(r) * RK_RTOL
-    d0, d1 = _rms(r / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t)
-    d2 = _rms((_rhs(r + h0 * f, h, damping) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    step = min(100.0 * h0, h1, t)
 
+    Each right-hand side, the initial-step rule's two, every stage and the FSAL,
+    is one _rhs call. Each stage sum is written straight into _rhs's input slot
+    ops[1], and each stage into its row of k, through views built once per
+    integration.
+    """
     # rows: r, then the stages k_1 = f, ..., k_12, each flattened, so that every
     # stage sum is one dot of a row of weights with the leading rows; row s - 1 of
     # weights gives the input of stage s, row 12 the step's result
     k = np.empty((13, 16), dtype=complex)
     stages = k.reshape(13, 4, 4)
     weights = np.ones((13, 13), dtype=complex)  # column 0 weighs r
+    # per stage s = 2..12: its row of weights, the rows it weighs and its own row
+    stage_views = [(weights[s - 1, :s], k[:s], stages[s]) for s in range(2, 13)]
+    x = ops[1].reshape(16)  # _rhs's input slot, flat
+    r, f = stages[0], stages[1]
+
+    r[...] = ops[1] = r0
+    _rhs(ops, damping, f)
+    scale = RK_ATOL + np.abs(r) * RK_RTOL
+    d0, d1 = _rms(r / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t)
+    ops[1] = r + h0 * f
+    d2 = _rms((_rhs(ops, damping) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    step = min(100.0 * h0, h1, t)
+
     abs_r = np.abs(r)
     now, steps = 0.0, 0
     while now < t:
@@ -319,11 +348,11 @@ def _dop853(r0: np.ndarray, t: float, h: np.ndarray, damping: np.ndarray) -> np.
             dt = new - now
             weights[:12, 1:] = dt * _DOP853_A
             weights[12, 1:] = dt * _DOP853_B
-            stages[0], stages[1] = r, f
-            for s in range(2, 13):
-                stages[s] = _rhs(weights[s - 1, :s].dot(k[:s]).reshape(4, 4), h, damping)
-            r_new = weights[12].dot(k).reshape(4, 4)
-            abs_new = np.abs(r_new)
+            for row, leading, stage in stage_views:
+                np.dot(row, leading, out=x)
+                _rhs(ops, damping, stage)
+            np.dot(weights[12], k, out=x)  # the step's result, in the slot the FSAL reads
+            abs_new = np.abs(ops[1])
             scale = RK_ATOL + np.maximum(abs_r, abs_new) * RK_RTOL
             err5 = _DOP853_E5.dot(k[1:]).reshape(4, 4) / scale
             err3 = _DOP853_E3.dot(k[1:]).reshape(4, 4) / scale
@@ -339,9 +368,10 @@ def _dop853(r0: np.ndarray, t: float, h: np.ndarray, damping: np.ndarray) -> np.
                 break
             step = dt * max(0.2, 0.9 * err ** (-1 / 8))
             rejected = True
-        now, r, abs_r = new, r_new, abs_new
-        f = _rhs(r, h, damping)
-    return r
+        now, abs_r = new, abs_new
+        r[...] = ops[1]
+        _rhs(ops, damping, f)
+    return r.copy()
 
 
 def _rms(x: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from chargeqfi import dynamics
 from chargeqfi.cli import cli_main
 from chargeqfi.model import SystemParams
 from chargeqfi.qfi import FD_STEP_DEFAULT, EstimandTag, d_rho, spectral_derivative
-from chargeqfi.sweeps import AXES
+from chargeqfi.sweeps import AXES, SweepConfig, run_sweep, sweep_to_json
 
 REF_FLAGS = ["--gamma", "0.4", "--e", "0.1"]
 
@@ -221,6 +221,40 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
         code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1 and out == ""
         assert err == f"error: unknown config keys: [{key!r}]\n"
+
+
+@pytest.mark.parametrize("axis", ["time", "ej"])
+def test_sweep_config_block_reproduces_its_json(tmp_path, capsys, axis):
+    # e_j1 != e_j2: the config block writes both fields under their own keys
+    p = SystemParams(e_j1=0.2, e_j2=0.25, e_m=0.15, n_g1=0.45, n_g2=0.55, gamma=0.3)
+    expected = sweep_to_json(run_sweep(SweepConfig(
+        params=p, estimand=EstimandTag.EJ, axis=axis, axis_start=0.5, axis_end=2.0,
+        points=4, t=1.5)))
+    config = json.loads(expected)["config"]
+    assert (config["e_j1"], config["e_j2"]) == (0.2, 0.25) and "ej" not in config
+    code, out, err = run_sweep_cli(tmp_path, capsys, ["--format", "json"], config)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_sweep_config_per_field_keys(tmp_path, capsys):
+    """e_j1 and e_j2 set one field each, below the --ej flag; with ej they are an error."""
+    base = {"estimand": "gamma", "points": 2}
+    for flags, file_cfg, expected in (([], {"e_j1": 0.2}, (0.2, 0.1)),
+                                      ([], {"e_j2": 0.3, "e": 0.15}, (0.15, 0.3)),
+                                      (["--ej", "0.05"], {"e_j1": 0.2, "e_j2": 0.3}, 0.05)):
+        code, out, err = run_sweep_cli(tmp_path, capsys, [*flags, "--format", "json"],
+                                       {**base, **file_cfg})
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        got = config["ej"] if "ej" in config else (config["e_j1"], config["e_j2"])
+        assert got == expected
+    for key in ("e_j1", "e_j2"):
+        code, out, err = run_sweep_cli(tmp_path, capsys, [], {**base, "ej": 0.2, key: 0.3})
+        assert (code, out) == (1, "")
+        assert err == f"error: config keys 'ej' and {key!r} both set {key}\n"
+    code, out, err = run_sweep_cli(tmp_path, capsys, [], {**base, "e_j2": float("nan")})
+    assert (code, out) == (1, "") and err == "error: e_j2 must be a finite real number, got nan\n"
 
 
 def test_sweep_config_read_failures(tmp_path, capsys):

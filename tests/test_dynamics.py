@@ -198,11 +198,12 @@ def test_propagate_rk_stops_below_ten_ulp_of_the_time(monkeypatch):
     # above 1 at every step size, so the step shrinks until it is lost in the time
     real, calls = dynamics._rhs, []
 
-    def erratic(r, h, damping):
+    def erratic(ops, damping, out=None):
+        # the loop reads each stage from out, where the true right-hand side writes it
         calls.append(None)
         if len(calls) <= 200:
-            return real(r, h, damping)
-        return (-1) ** len(calls) * 1e100 * np.ones((4, 4))
+            return real(ops, damping, out)
+        return np.multiply((-1) ** len(calls) * 1e100, np.ones((4, 4)), out=out)
 
     monkeypatch.setattr(dynamics, "_rhs", erratic)
     with warnings.catch_warnings():
@@ -258,10 +259,14 @@ def test_dop853_loop_matches_solve_ivp_on_the_acceptance_grid(monkeypatch):
     for gamma in (0.3, 0.4, 0.5):
         for e in (0.05, 0.1, 0.2):
             p = SystemParams.degenerate(e_j=e, e_m=e, gamma=gamma)
-            h, damping = dynamics._rhs_constants(p)
+            ops, damping = dynamics._rhs_constants(p)
+
+            def rhs(_t, y):
+                ops[1] = y.reshape(4, 4)
+                return real(ops, damping).reshape(16)
+
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-                sol = solve_ivp(lambda _t, y: real(y.reshape(4, 4), h, damping).reshape(16),
-                                (0.0, t), as_matrix(BELL).reshape(16), method="DOP853",
+                sol = solve_ivp(rhs, (0.0, t), as_matrix(BELL).reshape(16), method="DOP853",
                                 rtol=dynamics.RK_RTOL, atol=dynamics.RK_ATOL)
                 assert sol.success
                 nfev += sol.nfev
@@ -707,6 +712,69 @@ def test_rhs_dephasing_is_the_operator_form():
                             for sz in (model.Z1, model.Z2))
         dephasing = lindblad_rhs(rho, P_OFF) - (-1j * (h @ rho - rho @ h))
         assert max_abs_diff(dephasing, operator_form) < 1e-14
+
+
+def operator_form_rhs(rho, p):
+    """The right-hand side as two separate products, -1j * (h @ rho - rho @ h), plus the
+    entrywise dephasing."""
+    h = build_hamiltonian(p)
+    return -1j * (h @ rho - rho @ h) + (p.gamma / 8.0) * dynamics._RHS_DEPHASING_MASK * rho
+
+
+def test_rhs_is_the_operator_form_bit_for_bit_on_dyadic_inputs():
+    # dyadic fields and small integer entries: every product and sum of both forms is
+    # exact, so no order of summation can show. The stacked form sums a r + r (-a)
+    # where the operator form multiplies h r - r h by -1j, so where an entry of the
+    # commutator cancels to 0 and its dephasing term is a zero too, the two may carry
+    # zeros of opposite sign: equal values, and equal bytes on the matrix units
+    rng = np.random.default_rng(35)
+    params = [SystemParams.degenerate(e_j=0.25, e_m=0.125, gamma=0.5),
+              SystemParams(e_c1=1.5, e_c2=0.75, e_j1=0.25, e_j2=0.375, e_m=0.125,
+                           n_g1=0.375, n_g2=0.625, gamma=0.25),
+              SystemParams(e_j1=0.5, e_j2=0.25, e_m=-0.125, n_g1=0.25, gamma=0.0)]
+    params += [SystemParams(*(rng.integers(-16, 17, 7) / 16), gamma=rng.integers(0, 17) / 16)
+               for _ in range(16)]
+    units = [matrix_unit(a, b) for a in range(4) for b in range(4)]
+    integers = [rng.integers(-8, 9, (4, 4)) + 1j * rng.integers(-8, 9, (4, 4))
+                for _ in range(16)]
+    for p in params:
+        for rho in units:
+            assert lindblad_rhs(rho, p).tobytes() == operator_form_rhs(rho, p).tobytes()
+        for rho in integers:
+            assert np.array_equal(lindblad_rhs(rho, p), operator_form_rhs(rho, p))
+
+
+@pytest.mark.parametrize("p", [P_REF, P_OFF, dataclasses.replace(P_OFF, gamma=0.0)],
+                         ids=["degenerate", "off-degenerate", "gamma0"])
+def test_rhs_is_the_operator_form_on_random_matrices(p):
+    rng = np.random.default_rng(36)
+    for _ in range(50):
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # not Hermitian
+        assert max_abs_diff(lindblad_rhs(rho, p), operator_form_rhs(rho, p)) <= 1e-15
+
+
+def test_interleaved_integrations_return_their_bytes_alone(monkeypatch):
+    # each integration owns its scratch: one started between two right-hand-side calls
+    # of another, whose stage input is already written, leaves both results unchanged
+    sets = (P_REF, P_OFF)
+    alone = [propagate_rk(BELL, p, 5.0).mat.tobytes() for p in sets]
+    real = dynamics._rhs
+    for outer, inner in ((0, 1), (1, 0)):
+        calls, nested, inside = [], [], []
+
+        def interleaving(*args):
+            if not inside:  # a call of the outer integration
+                calls.append(None)
+                # the initial-step rule's second call, and a stage some steps on
+                if len(calls) in (2, 50):
+                    inside.append(None)
+                    nested.append(propagate_rk(BELL, sets[inner], 5.0).mat.tobytes())
+                    inside.pop()
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_rhs", interleaving)
+        assert propagate_rk(BELL, sets[outer], 5.0).mat.tobytes() == alone[outer]
+        assert nested == [alone[inner]] * 2
 
 
 def test_rk_builds_the_hamiltonian_once_per_integration(monkeypatch):
